@@ -30,15 +30,9 @@ from .constructions import (
     random_graph,
     verify_sharpness,
 )
-from .criticality import DEFAULT_CRITICALITY_LIMIT, is_fractional_id_factor_critical
+from .criticality import is_fractional_id_factor_critical
 from .errors import ConstructionError, InputError, ResourceLimitError
-from .factor import (
-    DEFAULT_BRUTE_FORCE_LIMIT,
-    FactorParams,
-    FractionalAssignment,
-    find_fractional_factor,
-    format_assignment,
-)
+from .factor import FactorParams, FractionalAssignment, find_fractional_factor, format_assignment
 from .graphs import format_edge_list, parse_edge_list
 from .sweep import parse_sweep_config, run_sweep
 
@@ -53,18 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format (default: text)",
-    )
-    parser.add_argument(
-        "--brute-limit",
-        type=int,
-        default=DEFAULT_BRUTE_FORCE_LIMIT,
-        help="max order for the exponential subset scan",
-    )
-    parser.add_argument(
-        "--crit-limit",
-        type=int,
-        default=DEFAULT_CRITICALITY_LIMIT,
-        help="max order for the criticality check",
     )
     parser.add_argument("--seed", type=int, default=0, help="default random seed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -135,8 +117,15 @@ def main(argv: list[str] | None = None) -> int:
     return 2
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_graph(path: str):
-    return parse_edge_list(Path(path).read_text())
+    return parse_edge_list(_read_text(path))
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -150,7 +139,7 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
 def _cmd_check_factor(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     params = FactorParams(args.a, args.b)
-    result = find_fractional_factor(g, params, brute_limit=args.brute_limit)
+    result = find_fractional_factor(g, params)
     feasible = isinstance(result, FractionalAssignment)
     payload: dict = {
         "command": "check-factor",
@@ -190,9 +179,7 @@ def _cmd_check_factor(args: argparse.Namespace) -> int:
 def _cmd_check_critical(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     params = FactorParams(args.a, args.b)
-    report = is_fractional_id_factor_critical(
-        g, params, limit=args.crit_limit, brute_limit=args.brute_limit
-    )
+    report = is_fractional_id_factor_critical(g, params)
     payload = {"command": "check-critical", "a": params.a, "b": params.b}
     payload.update(report.to_dict())
     lines = [
@@ -239,7 +226,7 @@ def _cmd_check_hypotheses(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
-    config = parse_sweep_config(Path(args.config).read_text())
+    config = parse_sweep_config(_read_text(args.config))
     result = run_sweep(config)
     payload = result.to_dict()
     lines = []
@@ -279,7 +266,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     lines: list[str] = []
     if args.kind == KIND_RANDOM:
         _require(args, ["n", "p"])
-        p = Fraction(args.p)
+        try:
+            p = Fraction(args.p)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"edge probability {args.p!r} is not a fraction") from exc
         g = random_graph(args.n, p, args.seed)
         out.write_text(format_edge_list(g))
         payload.update({"n": g.n, "m": g.m, "written": [str(out)]})
@@ -302,13 +292,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     lines.append(f"wrote {out} ({g.n} vertices, {g.m} edges)")
     lines.append(f"wrote {sidecar}")
     if args.verify:
-        report = verify_sharpness(
-            args.kind,
-            params,
-            args.t,
-            crit_limit=args.crit_limit,
-            brute_limit=args.brute_limit,
-        )
+        report = verify_sharpness(args.kind, params, args.t)
         payload["verify"] = report.to_dict()
         lines.append("sharpness audit:")
         for check in report.checks:

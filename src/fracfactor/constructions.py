@@ -21,14 +21,8 @@ from fractions import Fraction
 
 from .criticality import is_fractional_id_factor_critical
 from .conditions import check_criticality_conditions
-from .errors import ConstructionError, InputError
-from .factor import (
-    DEFAULT_BRUTE_FORCE_LIMIT,
-    FactorParams,
-    Infeasible,
-    delta_st,
-    find_fractional_factor,
-)
+from .errors import ConstructionError, InputError, ResourceLimitError
+from .factor import FactorParams, Infeasible, delta_st, find_fractional_factor
 from .graphs import Graph, complete_multipartite_graph
 
 KIND_NEIGHBORHOOD = "neighborhood-extremal"
@@ -227,19 +221,16 @@ class SharpnessReport:
         }
 
 
-def verify_sharpness(
-    kind: str,
-    params: FactorParams,
-    t: int,
-    *,
-    crit_limit: int = 20,
-    brute_limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
-) -> SharpnessReport:
-    """Regenerate an extremal instance and audit every claim made about it."""
+def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport:
+    """Regenerate an extremal instance and audit every claim made about it.
+
+    The not-critical check runs only when the criticality check accepts the
+    order; otherwise the report is marked criticality_skipped.
+    """
     if kind == KIND_NEIGHBORHOOD:
-        report = _verify_neighborhood_extremal(params, t, crit_limit, brute_limit)
+        report = _verify_neighborhood_extremal(params, t)
     elif kind == KIND_DEGREE:
-        report = _verify_degree_extremal(params, t, crit_limit, brute_limit)
+        report = _verify_degree_extremal(params, t)
     else:
         raise InputError(f"unknown construction kind {kind!r}")
     if not report.required_ok:
@@ -255,9 +246,21 @@ def _check(name: str, passed: bool, required: bool, detail: str) -> SharpnessChe
     return SharpnessCheck(name=name, passed=bool(passed), required=required, detail=detail)
 
 
-def _verify_neighborhood_extremal(
-    params: FactorParams, t: int, crit_limit: int, brute_limit: int
-) -> SharpnessReport:
+def _not_critical_check(g: Graph, params: FactorParams) -> SharpnessCheck | None:
+    """The not-critical check, or None when g is above the criticality cap."""
+    try:
+        crit = is_fractional_id_factor_critical(g, params)
+    except ResourceLimitError:
+        return None
+    return _check(
+        "not-critical",
+        crit.verdict is False,
+        True,
+        f"failing set {sorted(crit.failing_set or ())}",
+    )
+
+
+def _verify_neighborhood_extremal(params: FactorParams, t: int) -> SharpnessReport:
     a, b = params.a, params.b
     g, labels = neighborhood_extremal_graph(params, t)
     n = g.n
@@ -310,9 +313,7 @@ def _verify_neighborhood_extremal(
         )
     )
 
-    infeasible = isinstance(
-        find_fractional_factor(sub, params, brute_limit=brute_limit), Infeasible
-    )
+    infeasible = isinstance(find_fractional_factor(sub, params), Infeasible)
     checks.append(
         _check("designated-deletion-infeasible", infeasible, True, "flow solver verdict")
     )
@@ -329,19 +330,9 @@ def _verify_neighborhood_extremal(
         )
     )
 
-    skipped = n > crit_limit
-    if not skipped:
-        crit = is_fractional_id_factor_critical(
-            g, params, limit=crit_limit, brute_limit=brute_limit
-        )
-        checks.append(
-            _check(
-                "not-critical",
-                crit.verdict is False,
-                True,
-                f"failing set {sorted(crit.failing_set or ())}",
-            )
-        )
+    crit_check = _not_critical_check(g, params)
+    if crit_check is not None:
+        checks.append(crit_check)
     return SharpnessReport(
         kind=KIND_NEIGHBORHOOD,
         a=a,
@@ -349,13 +340,11 @@ def _verify_neighborhood_extremal(
         t=t,
         n=n,
         checks=tuple(checks),
-        criticality_skipped=skipped,
+        criticality_skipped=crit_check is None,
     )
 
 
-def _verify_degree_extremal(
-    params: FactorParams, t: int, crit_limit: int, brute_limit: int
-) -> SharpnessReport:
+def _verify_degree_extremal(params: FactorParams, t: int) -> SharpnessReport:
     a, b = params.a, params.b
     g, labels = min_degree_extremal_graph(params, t)
     n = g.n
@@ -405,9 +394,7 @@ def _verify_degree_extremal(
         )
     )
 
-    infeasible = isinstance(
-        find_fractional_factor(sub, params, brute_limit=brute_limit), Infeasible
-    )
+    infeasible = isinstance(find_fractional_factor(sub, params), Infeasible)
     checks.append(
         _check("designated-deletion-infeasible", infeasible, True, "flow solver verdict")
     )
@@ -416,19 +403,9 @@ def _verify_degree_extremal(
         _check("order-condition", cond.order_ok, False, f"margin {cond.order_margin}")
     )
 
-    skipped = n > crit_limit
-    if not skipped:
-        crit = is_fractional_id_factor_critical(
-            g, params, limit=crit_limit, brute_limit=brute_limit
-        )
-        checks.append(
-            _check(
-                "not-critical",
-                crit.verdict is False,
-                True,
-                f"failing set {sorted(crit.failing_set or ())}",
-            )
-        )
+    crit_check = _not_critical_check(g, params)
+    if crit_check is not None:
+        checks.append(crit_check)
     return SharpnessReport(
         kind=KIND_DEGREE,
         a=a,
@@ -436,5 +413,5 @@ def _verify_degree_extremal(
         t=t,
         n=n,
         checks=tuple(checks),
-        criticality_skipped=skipped,
+        criticality_skipped=crit_check is None,
     )

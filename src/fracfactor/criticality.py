@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .factor import (
-    DEFAULT_BRUTE_FORCE_LIMIT,
-    FactorParams,
-    Infeasible,
-    ViolationCertificate,
-    find_fractional_factor,
-)
+from .factor import FactorParams, Infeasible, ViolationCertificate, find_fractional_factor
 from .graphs import Graph
 
 DEFAULT_CRITICALITY_LIMIT = 20
@@ -121,23 +115,18 @@ class CriticalityReport:
         return out
 
 
-def is_fractional_id_factor_critical(
-    g: Graph,
-    params: FactorParams,
-    *,
-    limit: int = DEFAULT_CRITICALITY_LIMIT,
-    brute_limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
-) -> CriticalityReport:
+def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:
     """Check every independent-set deletion, stopping at the first failure."""
-    if g.n > limit:
+    if g.n > DEFAULT_CRITICALITY_LIMIT:
         raise ResourceLimitError(
-            f"criticality check over {g.n} vertices exceeds the cap of {limit}"
+            f"criticality check over {g.n} vertices exceeds the cap of "
+            f"{DEFAULT_CRITICALITY_LIMIT}"
         )
     checked = 0
     for ind in enumerate_independent_sets(g):
         checked += 1
         sub, remap = g.delete_vertices(ind)
-        result = find_fractional_factor(sub, params, brute_limit=brute_limit)
+        result = find_fractional_factor(sub, params)
         if isinstance(result, Infeasible):
             return CriticalityReport(
                 verdict=False,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Literal, Mapping, Union
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Edge, Graph
+from .graphs import Edge, Graph, content_lines
 from .maxflow import feasible_flow
 
 DEFAULT_BRUTE_FORCE_LIMIT = 20
@@ -135,10 +135,7 @@ def delta_st(g: Graph, params: FactorParams, s: object) -> tuple[frozenset[int],
 
 
 def has_fractional_factor_bruteforce(
-    g: Graph,
-    params: FactorParams,
-    *,
-    limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
+    g: Graph, params: FactorParams
 ) -> Union[Literal[True], ViolationCertificate]:
     """Scan every vertex subset; True if all pass, else the worst certificate.
 
@@ -147,9 +144,9 @@ def has_fractional_factor_bruteforce(
     ResourceLimitError above the cap; find_fractional_factor handles any
     order in polynomial time.
     """
-    if g.n > limit:
+    if g.n > DEFAULT_BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
-            f"subset scan over {g.n} vertices exceeds the cap of {limit}; "
+            f"subset scan over {g.n} vertices exceeds the cap of {DEFAULT_BRUTE_FORCE_LIMIT}; "
             "use find_fractional_factor instead"
         )
     n = g.n
@@ -199,10 +196,7 @@ def _mask_to_tuple(mask: int) -> tuple[int, ...]:
 
 
 def find_fractional_factor(
-    g: Graph,
-    params: FactorParams,
-    *,
-    brute_limit: int = DEFAULT_BRUTE_FORCE_LIMIT,
+    g: Graph, params: FactorParams
 ) -> Union[FractionalAssignment, Infeasible]:
     """Decide existence constructively via flow on the bipartite double cover.
 
@@ -238,8 +232,8 @@ def find_fractional_factor(
     flows = feasible_flow(2 * n + 2, arcs, source, sink)
     if flows is None:
         certificate = None
-        if n <= brute_limit:
-            scan = has_fractional_factor_bruteforce(g, params, limit=brute_limit)
+        if n <= DEFAULT_BRUTE_FORCE_LIMIT:
+            scan = has_fractional_factor_bruteforce(g, params)
             if scan is True:
                 raise RuntimeError(
                     "flow solver and subset scan disagree on feasibility; "
@@ -291,11 +285,7 @@ def format_assignment(assignment: FractionalAssignment) -> str:
 def parse_assignment(text: str) -> FractionalAssignment:
     values: dict[Edge, Fraction] = {}
     problems: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
+    for lineno, tok in content_lines(text):
         if len(tok) != 3:
             problems.append(f"line {lineno}: expected 'u v p/q'")
             continue

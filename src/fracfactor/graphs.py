@@ -8,7 +8,7 @@ silently repaired.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
@@ -210,13 +210,17 @@ def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
 # 0 <= u < v < n. Text after '#' is a comment; blank lines are ignored.
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format, reporting every problem with its line number."""
-    rows: list[tuple[int, list[str]]] = []
+def content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (1-based line number, tokens) for each line left after comments."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            rows.append((lineno, line.split()))
+            yield lineno, line.split()
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list format, reporting every problem with its line number."""
+    rows = list(content_lines(text))
     if not rows:
         raise InputError("empty input: missing 'n m' header line")
 

@@ -28,7 +28,7 @@ from .criticality import (
 )
 from .constructions import random_graph
 from .errors import InputError
-from .factor import DEFAULT_BRUTE_FORCE_LIMIT, FactorParams
+from .factor import FactorParams
 from .graphs import Graph
 
 
@@ -40,8 +40,6 @@ class SweepConfig:
     random_probabilities: tuple[Fraction, ...] = ()
     random_samples: int = 0
     seed: int = 0
-    brute_limit: int = DEFAULT_BRUTE_FORCE_LIMIT
-    crit_limit: int = DEFAULT_CRITICALITY_LIMIT
     output_path: str | None = None
 
     def validate(self) -> None:
@@ -66,10 +64,10 @@ class SweepConfig:
                 raise InputError("exhaustive max_n must be >= 1")
             orders.append(self.exhaustive_max_n)
         top = max(orders)
-        if top > self.crit_limit:
+        if top > DEFAULT_CRITICALITY_LIMIT:
             raise InputError(
                 f"ensemble reaches order {top}, above the criticality cap "
-                f"{self.crit_limit}"
+                f"{DEFAULT_CRITICALITY_LIMIT}"
             )
 
 
@@ -80,6 +78,9 @@ def parse_sweep_config(text: str) -> SweepConfig:
         parser.read_string(text)
     except ConfigParserError as exc:
         raise InputError(f"malformed sweep config: {exc}") from exc
+    unknown = sorted(set(parser.sections()) - {"params", "exhaustive", "random", "output"})
+    if unknown:
+        raise InputError(f"unknown sweep config section(s): {', '.join(unknown)}")
 
     try:
         pairs = tuple(
@@ -99,11 +100,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
             )
             samples = parser.getint("random", "samples")
             seed = parser.getint("random", "seed", fallback=0)
-        brute_limit = DEFAULT_BRUTE_FORCE_LIMIT
-        crit_limit = DEFAULT_CRITICALITY_LIMIT
-        if parser.has_section("limits"):
-            brute_limit = parser.getint("limits", "brute_force", fallback=brute_limit)
-            crit_limit = parser.getint("limits", "criticality", fallback=crit_limit)
         output_path = parser.get("output", "path", fallback=None)
     except (ValueError, ZeroDivisionError, ConfigParserError) as exc:
         raise InputError(f"malformed sweep config: {exc}") from exc
@@ -115,8 +111,6 @@ def parse_sweep_config(text: str) -> SweepConfig:
         random_probabilities=probabilities,
         random_samples=samples,
         seed=seed,
-        brute_limit=brute_limit,
-        crit_limit=crit_limit,
         output_path=output_path,
     )
     config.validate()
@@ -226,9 +220,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 continue
             summary.condition_passing += 1
 
-            crit = is_fractional_id_factor_critical(
-                g, params, limit=config.crit_limit, brute_limit=config.brute_limit
-            )
+            crit = is_fractional_id_factor_critical(g, params)
             if crit.verdict:
                 summary.criticality_confirmed += 1
             else:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fracfactor import complete_graph, cycle_graph, format_edge_list, parse_edge_list, path_graph
 from fracfactor.cli import main
@@ -40,8 +41,8 @@ def test_check_factor_infeasible_with_certificate(graph_file, capsys):
 
 
 def test_check_factor_certificate_suppressed_above_cap(graph_file, capsys):
-    path = graph_file("p3.txt", path_graph(3))
-    assert main(["--brute-limit", "2", "check-factor", path, "-a", "1", "-b", "1"]) == 1
+    path = graph_file("p21.txt", path_graph(21))
+    assert main(["check-factor", path, "-a", "1", "-b", "1"]) == 1
     out = capsys.readouterr().out
     assert "not extracted" in out
 
@@ -73,8 +74,8 @@ def test_check_critical_json_payload(graph_file, capsys):
 
 
 def test_check_critical_cap_exit_code(graph_file, capsys):
-    path = graph_file("k4.txt", complete_graph(4))
-    assert main(["--crit-limit", "3", "check-critical", path, "-a", "1", "-b", "1"]) == 3
+    path = graph_file("k21.txt", complete_graph(21))
+    assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 3
     assert "error:" in capsys.readouterr().err
 
 
@@ -191,3 +192,90 @@ def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--brute-limit", "--crit-limit"])
+def test_removed_cap_flags_are_usage_errors(graph_file, flag):
+    path = graph_file("k4.txt", complete_graph(4))
+    with pytest.raises(SystemExit) as exc:
+        main([flag, "20", "check-critical", path, "-a", "1", "-b", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("p", ["abc", "1/0"])
+def test_gen_random_rejects_bad_probability(tmp_path, capsys, p):
+    out = tmp_path / "r.txt"
+    assert main(["gen", "random", "-n", "4", "-p", p, "-o", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_utf8_graph_file(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"2 1\n0 1 # caf\xe9\n")
+    assert main(["check-factor", str(path), "-a", "1", "-b", "1"]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_sweep_config(tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    path.write_bytes(b"[params]\npairs = 1,1\n[exhaustive]\nmax_n = 3 # \xff\n")
+    assert main(["verify-theorem", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+# -- exit-code contract under arbitrary input ---------------------------------
+
+FUZZ = settings(
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+# Junk carries no decimal digits, so every parsable header comes from the
+# small integers and orders stay far below the subset-scan cap; surrogates
+# are left out because no codec can write them.
+_junk = st.text(alphabet=st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+_line = st.one_of(
+    st.lists(st.integers(min_value=-1, max_value=6).map(str), max_size=3).map(" ".join),
+    _junk,
+)
+_edge_list_bytes = st.one_of(
+    st.binary(max_size=40),
+    st.lists(_line, max_size=8).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.lists(_line, max_size=8).map(lambda lines: "\n".join(lines).encode("utf-16")),
+)
+
+
+def _run(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    return code, out
+
+
+@FUZZ
+@given(data=_edge_list_bytes)
+def test_check_factor_exit_contract_on_any_bytes(tmp_path, capsys, data):
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    code, out = _run(["check-factor", str(path), "-a", "1", "-b", "2"], capsys)
+    assert (code == 1) == ("feasible: no" in out)
+
+
+_probability = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"-?[0-9]{1,3}([/.][0-9]{0,3})?", fullmatch=True),
+)
+
+
+@FUZZ
+@given(p=_probability)
+def test_gen_random_exit_contract_on_any_probability(tmp_path, capsys, p):
+    out = tmp_path / "r.txt"
+    code, _ = _run(["gen", "random", "-n", "5", f"-p{p}", "-o", str(out)], capsys)
+    assert code in (0, 2)

@@ -194,9 +194,8 @@ def test_verify_sharpness_passes_on_grid():
 
 
 def test_verify_sharpness_skips_criticality_above_cap():
-    report = verify_sharpness(
-        KIND_NEIGHBORHOOD, FactorParams(2, 3), 2, crit_limit=10
-    )
+    report = verify_sharpness(KIND_NEIGHBORHOOD, FactorParams(2, 3), 3)
+    assert report.n == 25
     assert report.criticality_skipped
     assert "not-critical" not in {c.name for c in report.checks}
     assert report.required_ok

@@ -115,7 +115,7 @@ def test_criticality_respects_cap():
     with pytest.raises(ResourceLimitError):
         is_fractional_id_factor_critical(empty_graph(21), P11)
     with pytest.raises(ResourceLimitError):
-        is_fractional_id_factor_critical(complete_graph(6), P11, limit=5)
+        is_fractional_id_factor_critical(complete_graph(21), P11)
 
 
 def test_report_serialization_shape():

@@ -107,7 +107,7 @@ def test_bruteforce_respects_cap():
     with pytest.raises(ResourceLimitError):
         has_fractional_factor_bruteforce(empty_graph(21), P11)
     with pytest.raises(ResourceLimitError):
-        has_fractional_factor_bruteforce(empty_graph(5), P11, limit=4)
+        has_fractional_factor_bruteforce(complete_graph(21), P11)
 
 
 def test_bruteforce_two_disjoint_stars():
@@ -163,7 +163,7 @@ def test_solver_path3_infeasible_with_certificate():
 
 
 def test_solver_certificate_suppressed_above_cap():
-    result = find_fractional_factor(path_graph(3), P11, brute_limit=2)
+    result = find_fractional_factor(path_graph(21), P11)
     assert isinstance(result, Infeasible)
     assert result.certificate is None
 

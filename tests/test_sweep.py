@@ -19,10 +19,6 @@ orders = 6
 probabilities = 1/2
 samples = 5
 seed = 99
-
-[limits]
-brute_force = 20
-criticality = 20
 """
 
 
@@ -57,6 +53,12 @@ def test_parse_rejects_bad_pair():
 def test_parse_rejects_no_ensemble():
     with pytest.raises(InputError):
         parse_sweep_config("[params]\npairs = 1,1\n")
+
+
+@pytest.mark.parametrize("section", ["limts", "limits"])  # a typo, and the removed section
+def test_parse_rejects_unknown_section(section):
+    with pytest.raises(InputError, match=section):
+        parse_sweep_config(CONFIG_TEXT + f"[{section}]\nbrute_force = 20\ncriticality = 20\n")
 
 
 def test_config_rejects_orders_above_cap():
