@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .conditions import check_criticality_conditions
@@ -27,6 +26,7 @@ from .constructions import (
     KIND_RANDOM,
     min_degree_extremal_graph,
     neighborhood_extremal_graph,
+    parse_probability,
     random_graph,
     verify_sharpness,
 )
@@ -266,11 +266,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     lines: list[str] = []
     if args.kind == KIND_RANDOM:
         _require(args, ["n", "p"])
-        try:
-            p = Fraction(args.p)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"edge probability {args.p!r} is not a fraction") from exc
-        g = random_graph(args.n, p, args.seed)
+        g = random_graph(args.n, parse_probability(args.p), args.seed)
         out.write_text(format_edge_list(g))
         payload.update({"n": g.n, "m": g.m, "written": [str(out)]})
         lines.append(f"wrote {out} ({g.n} vertices, {g.m} edges, seed {args.seed})")

@@ -171,6 +171,17 @@ def random_graph(n: int, p: Fraction | float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
+def parse_probability(token: str) -> Fraction:
+    """Read an edge probability such as 1/2 or 25e-2 exactly; |exponent| <= 100."""
+    _, e, exponent = token.lower().rpartition("e")
+    try:
+        if not e or abs(int(exponent)) <= 100:
+            return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"edge probability {token!r} is not a fraction") from exc
+    raise InputError(f"edge probability {token!r} has an exponent beyond +-100")
+
+
 @dataclass(frozen=True)
 class SharpnessCheck:
     name: str

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .factor import FactorParams, Infeasible, ViolationCertificate, find_fractional_factor
+from .factor import FactorParams, ViolationCertificate, double_cover, find_fractional_factor
 from .graphs import Graph
+from .maxflow import FeasibleFlow
 
 DEFAULT_CRITICALITY_LIMIT = 20
 
@@ -116,18 +117,25 @@ class CriticalityReport:
 
 
 def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:
-    """Check every independent-set deletion, stopping at the first failure."""
+    """Check every independent-set deletion, stopping at the first failure.
+
+    Deleting I zeroes the [a, b] windows of I on one double-cover network, so
+    a set costs one max-flow; only a failing set is deleted, for its certificate.
+    """
     if g.n > DEFAULT_CRITICALITY_LIMIT:
         raise ResourceLimitError(
             f"criticality check over {g.n} vertices exceeds the cap of "
             f"{DEFAULT_CRITICALITY_LIMIT}"
         )
+    network = FeasibleFlow(*double_cover(g.n, g.edges(), params))
     checked = 0
     for ind in enumerate_independent_sets(g):
         checked += 1
-        sub, remap = g.delete_vertices(ind)
-        result = find_fractional_factor(sub, params)
-        if isinstance(result, Infeasible):
+        if network.solve({i: (0, 0) for v in ind for i in (2 * v, 2 * v + 1)}) is None:
+            sub, remap = g.delete_vertices(ind)
+            result = find_fractional_factor(sub, params)
+            if result:
+                raise RuntimeError("double-cover network and solver disagree; this is a bug")
             return CriticalityReport(
                 verdict=False,
                 independent_sets_checked=checked,

@@ -26,7 +26,7 @@ from typing import Literal, Mapping, Union
 
 from .errors import InputError, ResourceLimitError
 from .graphs import Edge, Graph, content_lines
-from .maxflow import feasible_flow
+from .maxflow import Arc, feasible_flow
 
 DEFAULT_BRUTE_FORCE_LIMIT = 20
 
@@ -211,25 +211,8 @@ def find_fractional_factor(
     n = g.n
     if n == 0:
         return FractionalAssignment({})
-    a, b = params.a, params.b
-
-    source, sink = 0, 1
-    plus = [2 + v for v in range(n)]
-    minus = [2 + n + v for v in range(n)]
-
-    arcs: list[tuple[int, int, int, int]] = []
-    for v in range(n):
-        arcs.append((source, plus[v], a, b))
-        arcs.append((minus[v], sink, a, b))
-    edge_arcs: list[tuple[Edge, int, int]] = []
     edges = g.edges()
-    for u, v in edges:
-        i = len(arcs)
-        arcs.append((plus[u], minus[v], 0, 1))
-        arcs.append((plus[v], minus[u], 0, 1))
-        edge_arcs.append(((u, v), i, i + 1))
-
-    flows = feasible_flow(2 * n + 2, arcs, source, sink)
+    flows = feasible_flow(*double_cover(n, edges, params))
     if flows is None:
         certificate = None
         if n <= DEFAULT_BRUTE_FORCE_LIMIT:
@@ -242,10 +225,25 @@ def find_fractional_factor(
             certificate = scan
         return Infeasible(certificate=certificate)
 
-    values = {
-        e: Fraction(flows[i] + flows[j], 2) for e, i, j in edge_arcs
-    }
+    unit = flows[2 * n:]
+    values = {e: Fraction(x + y, 2) for e, x, y in zip(edges, unit[::2], unit[1::2])}
     return FractionalAssignment(values)
+
+
+def double_cover(
+    n: int, edges: list[Edge], params: FactorParams
+) -> tuple[int, list[Arc], int, int]:
+    """feasible_flow's arguments for the flow model of find_fractional_factor.
+
+    Node 0 is the source, 1 the sink, 2 + v is v+ and 2 + n + v is v-. Arcs
+    2v (source -> v+) and 2v + 1 (v- -> sink) carry v's [a, b] window; edge k
+    gives unit arcs 2n + 2k (u+ -> v-) and 2n + 2k + 1 (v+ -> u-).
+    """
+    a, b = params.a, params.b
+    arcs = [arc for v in range(2, n + 2) for arc in ((0, v, a, b), (n + v, 1, a, b))]
+    for u, v in edges:
+        arcs += [(2 + u, 2 + n + v, 0, 1), (2 + v, 2 + n + u, 0, 1)]
+    return 2 * n + 2, arcs, 0, 1
 
 
 def validate_assignment(

@@ -1,7 +1,7 @@
 """Dinic max-flow and feasible flow under arc lower bounds.
 
 Integer capacities in, integer flows out, polynomial worst case. That is the
-entire contract the factor solver needs from this layer.
+entire contract the factor solver and the criticality check need from here.
 """
 
 from __future__ import annotations
@@ -99,45 +99,72 @@ class Dinic:
                 total += pushed
 
 
-def feasible_flow(
-    num_nodes: int,
-    arcs: list[tuple[int, int, int, int]],
-    source: int,
-    sink: int,
-) -> list[int] | None:
-    """Find an integral source->sink flow meeting per-arc [lower, upper] bounds.
+Arc = tuple[int, int, int, int]  # (u, v, lower, upper)
 
-    arcs is a list of (u, v, lower, upper). Returns the flow value of each arc
-    in input order, or None when no feasible flow exists. Uses the usual
-    reduction: subtract lower bounds, route the resulting node imbalances
-    through a super source/sink, and close the circulation with a sink->source
-    arc of unbounded capacity.
+
+class FeasibleFlow:
+    """feasible_flow's network, built once and solved under edited arc bounds.
+
+    The usual reduction: subtract lower bounds, route node imbalances through a
+    super source/sink and close the circulation with an unbounded sink->source
+    arc. Every solve starts from a copy of the capacity template, so no state leaks.
     """
-    for u, v, lo, up in arcs:
-        if not (0 <= lo <= up):
-            raise InputError(f"arc ({u}, {v}) has invalid bounds [{lo}, {up}]")
 
-    super_s = num_nodes
-    super_t = num_nodes + 1
-    net = Dinic(num_nodes + 2)
+    def __init__(self, num_nodes: int, arcs: list[Arc], source: int, sink: int) -> None:
+        self.arcs = arcs
+        net = self.net = Dinic(num_nodes + 2)
+        imbalance = self.imbalance = [0] * num_nodes
+        for u, v, lo, up in arcs:
+            if not 0 <= lo <= up:
+                raise InputError(f"arc ({u}, {v}) has invalid bounds [{lo}, {up}]")
+            net.add_edge(u, v, up - lo)  # arc i is edge 2i
+            imbalance[v] += lo
+            imbalance[u] -= lo
+        self.loop_id = net.add_edge(sink, source, sum(up for _, _, _, up in arcs) + 1)
+        # (node, fed) -> the node's arc from the super source (fed) or to the super sink
+        self.super_ids = {
+            (v, bal > 0): self._add_super(v, bal) for v, bal in enumerate(imbalance) if bal
+        }
+        self.need = sum(bal for bal in imbalance if bal > 0)
+        self.template = net.cap
 
-    arc_ids = []
-    imbalance = [0] * num_nodes
-    for u, v, lo, up in arcs:
-        arc_ids.append(net.add_edge(u, v, up - lo))
-        imbalance[v] += lo
-        imbalance[u] -= lo
-    big = sum(up for _, _, _, up in arcs) + 1
-    net.add_edge(sink, source, big)
+    def _add_super(self, v: int, bal: int) -> int:
+        s = len(self.imbalance)  # the super source; s + 1 is the super sink
+        return self.net.add_edge(s, v, bal) if bal > 0 else self.net.add_edge(v, s + 1, -bal)
 
-    need = 0
-    for v, bal in enumerate(imbalance):
-        if bal > 0:
-            net.add_edge(super_s, v, bal)
-            need += bal
-        elif bal < 0:
-            net.add_edge(v, super_t, -bal)
+    def solve(self, overrides: dict[int, tuple[int, int]] | None = None) -> list[int] | None:
+        """Flow of each arc in input order, or None when no feasible flow exists.
 
-    if net.max_flow(super_s, super_t) != need:
-        return None
-    return [lo + net.flow_on(eid) for eid, (_, _, lo, _) in zip(arc_ids, arcs)]
+        overrides maps arc indices to (lower, upper) bounds for this solve only.
+        """
+        overrides = overrides or {}
+        net, imbalance, need = self.net, self.imbalance[:], self.need
+        # Super arcs first added by an earlier solve have capacity 0 unless set below.
+        cap = net.cap = self.template + [0] * (len(net.to) - len(self.template))
+        for i, (lo, up) in overrides.items():
+            if not (0 <= i < len(self.arcs) and 0 <= lo <= up):
+                raise InputError(f"arc {i} of {len(self.arcs)} cannot take bounds [{lo}, {up}]")
+            u, v, old_lo, old_up = self.arcs[i]
+            cap[2 * i] = up - lo
+            cap[self.loop_id] += up - old_up
+            for w, shift in ((v, lo - old_lo), (u, old_lo - lo)):
+                old = imbalance[w]
+                new = imbalance[w] = old + shift
+                need += max(new, 0) - max(old, 0)
+                if old:
+                    cap[self.super_ids[w, old > 0]] = 0
+                if new and (w, new > 0) in self.super_ids:
+                    cap[self.super_ids[w, new > 0]] = abs(new)
+                elif new:
+                    self.super_ids[w, new > 0] = self._add_super(w, new)
+        if net.max_flow(len(imbalance), len(imbalance) + 1) != need:
+            return None
+        flows = [lo + x for (_, _, lo, _), x in zip(self.arcs, cap[1 : 2 * len(self.arcs) : 2])]
+        for i, (lo, _) in overrides.items():
+            flows[i] += lo - self.arcs[i][2]
+        return flows
+
+
+def feasible_flow(num_nodes: int, arcs: list[Arc], source: int, sink: int) -> list[int] | None:
+    """Integral flow of each (u, v, lower, upper) arc within its bounds, or None if none exists."""
+    return FeasibleFlow(num_nodes, arcs, source, sink).solve()

@@ -26,7 +26,7 @@ from .criticality import (
     is_fractional_id_factor_critical,
     maximal_independent_sets,
 )
-from .constructions import random_graph
+from .constructions import parse_probability, random_graph
 from .errors import InputError
 from .factor import FactorParams
 from .graphs import Graph
@@ -96,7 +96,7 @@ def parse_sweep_config(text: str) -> SweepConfig:
         if parser.has_section("random"):
             orders = tuple(int(tok) for tok in parser.get("random", "orders").split())
             probabilities = tuple(
-                Fraction(tok) for tok in parser.get("random", "probabilities").split()
+                parse_probability(tok) for tok in parser.get("random", "probabilities").split()
             )
             samples = parser.getint("random", "samples")
             seed = parser.getint("random", "seed", fallback=0)

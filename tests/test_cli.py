@@ -3,7 +3,14 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fracfactor import complete_graph, cycle_graph, format_edge_list, parse_edge_list, path_graph
+from fracfactor import (
+    complete_graph,
+    constructions,
+    cycle_graph,
+    format_edge_list,
+    parse_edge_list,
+    path_graph,
+)
 from fracfactor.cli import main
 
 
@@ -208,6 +215,25 @@ def test_gen_random_rejects_bad_probability(tmp_path, capsys, p):
     assert main(["gen", "random", "-n", "4", "-p", p, "-o", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _never_built(token):
+    raise AssertionError(f"Fraction({token!r}) was built")
+
+
+@pytest.mark.parametrize("p", ["1e999999999", "1E-999999999", "5e-101"])
+def test_gen_random_refuses_huge_exponents_before_building_them(tmp_path, capsys, monkeypatch, p):
+    monkeypatch.setattr(constructions, "Fraction", _never_built)
+    out = tmp_path / "r.txt"
+    assert main(["gen", "random", "-n", "4", "-p", p, "-o", str(out)]) == 2
+    assert "exponent beyond +-100" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_random_accepts_exponents_up_to_100(tmp_path):
+    out = tmp_path / "r.txt"
+    assert main(["gen", "random", "-n", "4", "-p", "25e-2", "-o", str(out)]) == 0
+    assert main(["gen", "random", "-n", "4", "-p", "5e-100", "-o", str(out)]) == 0
 
 
 def test_non_utf8_graph_file(tmp_path, capsys):

@@ -5,6 +5,7 @@ from fracfactor import (
     ResourceLimitError,
     complete_graph,
     complete_multipartite_graph,
+    criticality,
     cycle_graph,
     empty_graph,
     enumerate_independent_sets,
@@ -109,6 +110,30 @@ def test_octahedron_is_critical_for_11():
     assert report.verdict is True
     # independent sets: empty, 6 singletons, 3 part-pairs
     assert report.independent_sets_checked == 10
+
+
+@pytest.mark.parametrize(
+    "g, calls",
+    [(complete_multipartite_graph((2, 2, 2)), 0), (cycle_graph(4), 1)],
+    ids=["octahedron-critical", "c4-fails-at-0"],
+)
+def test_only_the_failing_set_is_deleted_and_solved(monkeypatch, g, calls):
+    counts = {"solve": 0, "delete": 0}
+    real_solve, real_delete = criticality.find_fractional_factor, Graph.delete_vertices
+
+    def solve(*args):
+        counts["solve"] += 1
+        return real_solve(*args)
+
+    def delete(*args):
+        counts["delete"] += 1
+        return real_delete(*args)
+
+    monkeypatch.setattr(criticality, "find_fractional_factor", solve)
+    monkeypatch.setattr(Graph, "delete_vertices", delete)
+    report = is_fractional_id_factor_critical(g, P11)
+    assert report.verdict is (calls == 0)
+    assert counts == {"solve": calls, "delete": calls}
 
 
 def test_criticality_respects_cap():

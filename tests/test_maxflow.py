@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracfactor.errors import InputError
-from fracfactor.maxflow import Dinic, feasible_flow
+from fracfactor.maxflow import Dinic, FeasibleFlow, feasible_flow
 
 
 def test_single_edge():
@@ -135,3 +136,79 @@ def test_feasible_flow_all_flows_within_bounds():
     # conservation at 1 and 2
     assert flows[0] == flows[2] + flows[4]
     assert flows[1] + flows[4] == flows[3]
+
+
+# -- one network, many solves ------------------------------------------------
+
+
+def edited(arcs, overrides):
+    return [(u, v, *overrides.get(i, (lo, up))) for i, (u, v, lo, up) in enumerate(arcs)]
+
+
+def assert_valid_flow(num_nodes, arcs, source, sink, flows):
+    net = [0] * num_nodes
+    for (u, v, lo, up), f in zip(arcs, flows):
+        assert lo <= f <= up
+        net[u] -= f
+        net[v] += f
+    assert all(net[x] == 0 for x in range(num_nodes) if x not in (source, sink))
+    assert net[source] == -net[sink]
+
+
+# K2's double cover: windows 0 (s -> 0+), 1 (0- -> t), 2 (s -> 1+), 3 (1- -> t)
+K2_ARCS = [(0, 2, 1, 1), (4, 1, 1, 1), (0, 3, 1, 1), (5, 1, 1, 1), (2, 5, 0, 1), (3, 4, 0, 1)]
+
+
+def test_reused_network_matches_fresh_solves_in_any_order():
+    network = FeasibleFlow(6, K2_ARCS, 0, 1)
+    zero = (0, 0)
+    sequence = [
+        {},  # K2 has a perfect matching
+        {0: zero, 1: zero},  # delete vertex 0: K1 has no [1, 1]-factor
+        {},  # feasible again: nothing leaked from the infeasible solve
+        {0: zero, 1: zero, 2: zero, 3: zero},  # every window zeroed: order 0 is feasible
+        {2: (2, 2)},  # a lower bound no unit arc can meet
+        {1: (0, 1), 3: (0, 1)},  # sink windows relaxed to [0, 1]
+    ]
+    for overrides in sequence:
+        arcs = edited(K2_ARCS, overrides)
+        got = network.solve(overrides)
+        assert (got is None) == (feasible_flow(6, arcs, 0, 1) is None), overrides
+        if got is not None:
+            assert_valid_flow(6, arcs, 0, 1, got)
+    assert [network.solve(o) is None for o in sequence] == [False, True, False, False, True, False]
+
+
+def test_reused_network_rejects_invalid_overrides():
+    network = FeasibleFlow(6, K2_ARCS, 0, 1)
+    for bad in ({4: (2, 1)}, {4: (-1, 1)}, {-1: (0, 1)}, {len(K2_ARCS): (0, 1)}):
+        with pytest.raises(InputError):
+            network.solve(bad)
+    assert network.solve({}) is not None
+
+
+@st.composite
+def networks(draw):
+    """A small network, then a few override maps over its arcs."""
+    num_nodes = draw(st.integers(min_value=2, max_value=5))
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    bounds = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted).map(tuple)
+    arcs = draw(st.lists(st.tuples(node, node, bounds), min_size=1, max_size=8))
+    arcs = [(u, v, lo, up) for u, v, (lo, up) in arcs if u != v]
+    index = st.integers(min_value=0, max_value=max(len(arcs) - 1, 0))
+    solves = draw(st.lists(st.dictionaries(index, bounds, max_size=4), max_size=4))
+    return num_nodes, arcs, [{i: b for i, b in o.items() if i < len(arcs)} for o in solves]
+
+
+@given(networks())
+@settings(deadline=None)
+def test_reused_network_agrees_with_fresh_feasible_flow(case):
+    num_nodes, arcs, solves = case
+    network = FeasibleFlow(num_nodes, arcs, 0, num_nodes - 1)
+    for overrides in solves + [{}]:
+        fresh_arcs = edited(arcs, overrides)
+        got = network.solve(overrides)
+        fresh = feasible_flow(num_nodes, fresh_arcs, 0, num_nodes - 1)
+        assert (got is None) == (fresh is None)
+        if got is not None:
+            assert_valid_flow(num_nodes, fresh_arcs, 0, num_nodes - 1, got)

@@ -5,6 +5,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from fracfactor import (
+    CriticalityReport,
     FactorParams,
     FractionalAssignment,
     Graph,
@@ -100,15 +101,28 @@ def test_independent_set_enumeration_matches_reference(g):
 def test_criticality_matches_direct_definition(g, p):
     report = is_fractional_id_factor_critical(g, p)
     edges = g.edges()
-    expected = True
-    for ind in naive_independent_sets(g.n, edges):
+    first_failure = None
+    for index, ind in enumerate(naive_independent_sets(g.n, edges), start=1):
         sub, _ = g.delete_vertices(ind)
         if not naive_has_factor(sub.n, sub.edges(), p.a, p.b):
-            expected = False
+            first_failure = (index, ind)
             break
-    assert report.verdict == expected
-    if not report.verdict:
-        # the reported set is independent and its deletion is genuinely infeasible
-        assert g.is_independent(report.failing_set)
-        sub, _ = g.delete_vertices(report.failing_set)
-        assert not naive_has_factor(sub.n, sub.edges(), p.a, p.b)
+    assert report.verdict == (first_failure is None)
+    if first_failure is not None:
+        # the reported set is the first infeasible one in (size, lex) order
+        assert (report.independent_sets_checked, report.failing_set) == first_failure
+
+
+@given(graphs(max_n=8), params(max_b=3))
+@settings(deadline=None, max_examples=60)
+def test_criticality_report_matches_deleting_every_set(g, p):
+    # the report as computed before the shared network: delete and solve each set
+    expected = CriticalityReport(verdict=True, independent_sets_checked=0)
+    for checked, ind in enumerate(enumerate_independent_sets(g), start=1):
+        sub, remap = g.delete_vertices(ind)
+        result = find_fractional_factor(sub, p)
+        if not result:
+            expected = CriticalityReport(False, checked, ind, result.certificate, remap)
+            break
+        expected = CriticalityReport(verdict=True, independent_sets_checked=checked)
+    assert is_fractional_id_factor_critical(g, p) == expected

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fracfactor import InputError, SweepConfig, parse_sweep_config, run_sweep
+from fracfactor import InputError, SweepConfig, constructions, parse_sweep_config, run_sweep
 from fracfactor.sweep import derive_seed
 
 
@@ -59,6 +59,17 @@ def test_parse_rejects_no_ensemble():
 def test_parse_rejects_unknown_section(section):
     with pytest.raises(InputError, match=section):
         parse_sweep_config(CONFIG_TEXT + f"[{section}]\nbrute_force = 20\ncriticality = 20\n")
+
+
+@pytest.mark.parametrize("p", ["1e999999999", "1e-101"])
+def test_parse_refuses_huge_probability_exponents(monkeypatch, p):
+    def never_built(token):
+        raise AssertionError(f"Fraction({token!r}) was built")
+
+    monkeypatch.setattr(constructions, "Fraction", never_built)
+    text = CONFIG_TEXT.replace("probabilities = 1/2", f"probabilities = {p}")
+    with pytest.raises(InputError, match="exponent beyond"):
+        parse_sweep_config(text)
 
 
 def test_config_rejects_orders_above_cap():
