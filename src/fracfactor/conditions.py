@@ -131,19 +131,10 @@ def check_criticality_conditions(g: Graph, params: FactorParams) -> ConditionRep
 
 @dataclass(frozen=True)
 class KFactorThresholds:
-    """The a = b = k specialization, with the k-specific simplified forms."""
+    """The a = b = k specialization: the least order the order condition admits."""
 
     k: int
     min_order: int
-
-    def order_ok(self, n: int) -> bool:
-        return n >= self.min_order
-
-    def degree_ok(self, n: int, min_degree: int) -> bool:
-        return 3 * min_degree >= n + 3 * self.k
-
-    def neighborhood_ok(self, n: int, union_size: int) -> bool:
-        return 3 * union_size >= 2 * n
 
 
 def k_factor_thresholds(k: int) -> KFactorThresholds:

@@ -20,9 +20,7 @@ from .maxflow import FeasibleFlow
 DEFAULT_CRITICALITY_LIMIT = 20
 
 
-def enumerate_independent_sets(
-    g: Graph, max_size: int | None = None
-) -> Iterator[frozenset[int]]:
+def enumerate_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
     """Yield every independent set of g, by increasing size, then lexicographic.
 
     Independence is hereditary, so once some size has no independent set no
@@ -30,7 +28,6 @@ def enumerate_independent_sets(
     """
     n = g.n
     masks = g.adjacency_masks()
-    top = n if max_size is None else min(max_size, n)
 
     def sized(prefix: list[int], start: int, forbidden: int, want: int) -> Iterator[frozenset[int]]:
         if want == 0:
@@ -43,7 +40,7 @@ def enumerate_independent_sets(
                 prefix.pop()
 
     yield frozenset()
-    for size in range(1, top + 1):
+    for size in range(1, n + 1):
         found = False
         for s in sized([], 0, 0, size):
             found = True
@@ -131,7 +128,7 @@ def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> Critical
     checked = 0
     for ind in enumerate_independent_sets(g):
         checked += 1
-        if network.solve({i: (0, 0) for v in ind for i in (2 * v, 2 * v + 1)}) is None:
+        if not network.feasible([i for v in ind for i in (2 * v, 2 * v + 1)]):
             sub, remap = g.delete_vertices(ind)
             result = find_fractional_factor(sub, params)
             if result:

@@ -96,9 +96,6 @@ class FractionalAssignment:
     def __hash__(self) -> int:
         return hash(frozenset(self.values.items()))
 
-    def support(self) -> list[Edge]:
-        return sorted(e for e, val in self.values.items() if val > 0)
-
     def is_half_integral(self) -> bool:
         return all(val.denominator in (1, 2) for val in self.values.values())
 

@@ -46,9 +46,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(s) for s in self._adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> list[Edge]:
         """All edges as (u, v) pairs with u < v, sorted."""
         return sorted((u, v) for u in range(self.n) for v in self._adj[u] if u < v)
@@ -123,28 +120,6 @@ class Graph:
             if u not in dropped and v not in dropped
         ]
         return Graph(len(kept), edges), remap
-
-    def join(self, other: Graph) -> Graph:
-        """Disjoint union plus every edge between the two sides."""
-        shift = self.n
-        edges = self.edges()
-        edges += [(u + shift, v + shift) for u, v in other.edges()]
-        edges += [(u, v + shift) for u in range(self.n) for v in range(other.n)]
-        return Graph(self.n + other.n, edges)
-
-    def disjoint_union(self, other: Graph) -> Graph:
-        shift = self.n
-        edges = self.edges()
-        edges += [(u + shift, v + shift) for u, v in other.edges()]
-        return Graph(self.n + other.n, edges)
-
-    def edges_between(self, s: Iterable[int], t: Iterable[int]) -> int:
-        """Number of edges with one endpoint in s and the other in t."""
-        ss = self.vertex_subset(s)
-        tt = self.vertex_subset(t)
-        if ss & tt:
-            raise InputError("edges_between requires disjoint vertex sets")
-        return sum(len(self._adj[u] & tt) for u in ss)
 
     # -- dunder ------------------------------------------------------------
 

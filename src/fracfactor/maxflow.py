@@ -7,6 +7,7 @@ entire contract the factor solver and the criticality check need from here.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 
 from .errors import InputError
 
@@ -103,68 +104,63 @@ Arc = tuple[int, int, int, int]  # (u, v, lower, upper)
 
 
 class FeasibleFlow:
-    """feasible_flow's network, built once and solved under edited arc bounds.
+    """feasible_flow's network, built once and re-decided with some arcs closed.
 
     The usual reduction: subtract lower bounds, route node imbalances through a
     super source/sink and close the circulation with an unbounded sink->source
-    arc. Every solve starts from a copy of the capacity template, so no state leaks.
+    arc. A node gets a super-source arc if some arc into it has a positive lower
+    bound and a super-sink arc if some arc out of it has one, so closing arcs
+    only changes capacities. Every decision starts from a copy of the capacity
+    template, so no state leaks.
     """
 
     def __init__(self, num_nodes: int, arcs: list[Arc], source: int, sink: int) -> None:
         self.arcs = arcs
         net = self.net = Dinic(num_nodes + 2)
-        imbalance = self.imbalance = [0] * num_nodes
+        into, out = [0] * num_nodes, [0] * num_nodes  # lower bounds in and out of each node
         for u, v, lo, up in arcs:
             if not 0 <= lo <= up:
                 raise InputError(f"arc ({u}, {v}) has invalid bounds [{lo}, {up}]")
             net.add_edge(u, v, up - lo)  # arc i is edge 2i
-            imbalance[v] += lo
-            imbalance[u] -= lo
-        self.loop_id = net.add_edge(sink, source, sum(up for _, _, _, up in arcs) + 1)
-        # (node, fed) -> the node's arc from the super source (fed) or to the super sink
-        self.super_ids = {
-            (v, bal > 0): self._add_super(v, bal) for v, bal in enumerate(imbalance) if bal
-        }
-        self.need = sum(bal for bal in imbalance if bal > 0)
+            into[v] += lo
+            out[u] += lo
+        loop_id = net.add_edge(sink, source, sum(up for _, _, _, up in arcs) + 1)
+        self.imbalance = [i - o for i, o in zip(into, out)]
+        # Super arcs follow the loop arc in node order: sign +1 is an arc from the
+        # super source, -1 an arc to the super sink. feasible() sets their capacities.
+        self.supers: list[tuple[int, int]] = []
+        for v in range(num_nodes):
+            if into[v]:
+                self.supers.append((v, 1))
+                net.add_edge(num_nodes, v, 0)
+            if out[v]:
+                self.supers.append((v, -1))
+                net.add_edge(v, num_nodes + 1, 0)
+        self.first_super = loop_id + 2
         self.template = net.cap
 
-    def _add_super(self, v: int, bal: int) -> int:
-        s = len(self.imbalance)  # the super source; s + 1 is the super sink
-        return self.net.add_edge(s, v, bal) if bal > 0 else self.net.add_edge(v, s + 1, -bal)
+    def feasible(self, closed: Iterable[int] = ()) -> bool:
+        """Whether a feasible flow exists with the closed arcs bounded to [0, 0].
 
-    def solve(self, overrides: dict[int, tuple[int, int]] | None = None) -> list[int] | None:
-        """Flow of each arc in input order, or None when no feasible flow exists.
-
-        overrides maps arc indices to (lower, upper) bounds for this solve only.
+        The flow stays on net.cap: an open arc i carries lower + net.cap[2i + 1].
         """
-        overrides = overrides or {}
-        net, imbalance, need = self.net, self.imbalance[:], self.need
-        # Super arcs first added by an earlier solve have capacity 0 unless set below.
-        cap = net.cap = self.template + [0] * (len(net.to) - len(self.template))
-        for i, (lo, up) in overrides.items():
-            if not (0 <= i < len(self.arcs) and 0 <= lo <= up):
-                raise InputError(f"arc {i} of {len(self.arcs)} cannot take bounds [{lo}, {up}]")
-            u, v, old_lo, old_up = self.arcs[i]
-            cap[2 * i] = up - lo
-            cap[self.loop_id] += up - old_up
-            for w, shift in ((v, lo - old_lo), (u, old_lo - lo)):
-                old = imbalance[w]
-                new = imbalance[w] = old + shift
-                need += max(new, 0) - max(old, 0)
-                if old:
-                    cap[self.super_ids[w, old > 0]] = 0
-                if new and (w, new > 0) in self.super_ids:
-                    cap[self.super_ids[w, new > 0]] = abs(new)
-                elif new:
-                    self.super_ids[w, new > 0] = self._add_super(w, new)
-        if net.max_flow(len(imbalance), len(imbalance) + 1) != need:
-            return None
-        flows = [lo + x for (_, _, lo, _), x in zip(self.arcs, cap[1 : 2 * len(self.arcs) : 2])]
-        for i, (lo, _) in overrides.items():
-            flows[i] += lo - self.arcs[i][2]
-        return flows
+        arcs, imbalance = self.arcs, self.imbalance[:]
+        cap = self.net.cap = self.template[:]
+        for i in set(closed):
+            if not 0 <= i < len(arcs):
+                raise InputError(f"arc {i} is not one of the {len(arcs)} arcs")
+            u, v, lo, _ = arcs[i]
+            cap[2 * i] = 0
+            imbalance[v] -= lo
+            imbalance[u] += lo
+        cap[self.first_super :: 2] = [max(sign * imbalance[v], 0) for v, sign in self.supers]
+        need = sum(bal for bal in imbalance if bal > 0)
+        return self.net.max_flow(len(imbalance), len(imbalance) + 1) == need
 
 
 def feasible_flow(num_nodes: int, arcs: list[Arc], source: int, sink: int) -> list[int] | None:
     """Integral flow of each (u, v, lower, upper) arc within its bounds, or None if none exists."""
-    return FeasibleFlow(num_nodes, arcs, source, sink).solve()
+    network = FeasibleFlow(num_nodes, arcs, source, sink)
+    if not network.feasible():
+        return None
+    return [lo + x for (_, _, lo, _), x in zip(arcs, network.net.cap[1 : 2 * len(arcs) : 2])]

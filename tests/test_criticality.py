@@ -39,12 +39,6 @@ def test_enumeration_matches_reference():
         assert got == naive_independent_sets(g.n, g.edges())
 
 
-def test_enumeration_respects_max_size():
-    got = list(enumerate_independent_sets(empty_graph(4), max_size=2))
-    assert len(got) == 1 + 4 + 6
-    assert max(len(s) for s in got) == 2
-
-
 def test_enumeration_includes_empty_set_only_for_complete():
     got = list(enumerate_independent_sets(complete_graph(3)))
     assert got[0] == frozenset()

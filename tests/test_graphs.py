@@ -3,7 +3,6 @@ import pytest
 from fracfactor import (
     Graph,
     InputError,
-    complete_graph,
     complete_multipartite_graph,
     cycle_graph,
     empty_graph,
@@ -65,24 +64,6 @@ def test_delete_vertices_reindexes():
     same, remap2 = g.delete_vertices(frozenset())
     assert same == g
     assert remap2 == {v: v for v in range(5)}
-
-
-def test_join_and_disjoint_union():
-    g = empty_graph(2).join(empty_graph(3))
-    assert g.n == 5
-    assert g.m == 6  # complete bipartite K_{2,3}
-    assert all(g.has_edge(u, v) for u in (0, 1) for v in (2, 3, 4))
-
-    h = path_graph(2).disjoint_union(path_graph(2))
-    assert h.n == 4
-    assert h.edges() == [(0, 1), (2, 3)]
-
-
-def test_edges_between():
-    g = complete_graph(4)
-    assert g.edges_between({0, 1}, {2, 3}) == 4
-    with pytest.raises(InputError):
-        g.edges_between({0, 1}, {1, 2})
 
 
 def test_is_independent():

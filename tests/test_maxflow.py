@@ -138,21 +138,11 @@ def test_feasible_flow_all_flows_within_bounds():
     assert flows[1] + flows[4] == flows[3]
 
 
-# -- one network, many solves ------------------------------------------------
+# -- one network, many decisions ----------------------------------------------
 
 
-def edited(arcs, overrides):
-    return [(u, v, *overrides.get(i, (lo, up))) for i, (u, v, lo, up) in enumerate(arcs)]
-
-
-def assert_valid_flow(num_nodes, arcs, source, sink, flows):
-    net = [0] * num_nodes
-    for (u, v, lo, up), f in zip(arcs, flows):
-        assert lo <= f <= up
-        net[u] -= f
-        net[v] += f
-    assert all(net[x] == 0 for x in range(num_nodes) if x not in (source, sink))
-    assert net[source] == -net[sink]
+def closing(arcs, closed):
+    return [(arc[0], arc[1], 0, 0) if i in closed else arc for i, arc in enumerate(arcs)]
 
 
 # K2's double cover: windows 0 (s -> 0+), 1 (0- -> t), 2 (s -> 1+), 3 (1- -> t)
@@ -161,54 +151,54 @@ K2_ARCS = [(0, 2, 1, 1), (4, 1, 1, 1), (0, 3, 1, 1), (5, 1, 1, 1), (2, 5, 0, 1),
 
 def test_reused_network_matches_fresh_solves_in_any_order():
     network = FeasibleFlow(6, K2_ARCS, 0, 1)
-    zero = (0, 0)
+    edges = len(network.net.to)
     sequence = [
-        {},  # K2 has a perfect matching
-        {0: zero, 1: zero},  # delete vertex 0: K1 has no [1, 1]-factor
-        {},  # feasible again: nothing leaked from the infeasible solve
-        {0: zero, 1: zero, 2: zero, 3: zero},  # every window zeroed: order 0 is feasible
-        {2: (2, 2)},  # a lower bound no unit arc can meet
-        {1: (0, 1), 3: (0, 1)},  # sink windows relaxed to [0, 1]
+        [],  # K2 has a perfect matching
+        [0, 1],  # delete vertex 0: K1 has no [1, 1]-factor
+        [],  # feasible again: nothing leaked from the infeasible decision
+        [0, 1, 2, 3],  # every window closed: order 0 is feasible
     ]
-    for overrides in sequence:
-        arcs = edited(K2_ARCS, overrides)
-        got = network.solve(overrides)
-        assert (got is None) == (feasible_flow(6, arcs, 0, 1) is None), overrides
-        if got is not None:
-            assert_valid_flow(6, arcs, 0, 1, got)
-    assert [network.solve(o) is None for o in sequence] == [False, True, False, False, True, False]
+    for closed in sequence:
+        fresh = feasible_flow(6, closing(K2_ARCS, closed), 0, 1)
+        assert network.feasible(closed) == (fresh is not None), closed
+        assert len(network.net.to) == edges
+    assert [network.feasible(c) for c in sequence] == [True, False, True, True]
 
 
 def test_reused_network_rejects_invalid_overrides():
     network = FeasibleFlow(6, K2_ARCS, 0, 1)
-    for bad in ({4: (2, 1)}, {4: (-1, 1)}, {-1: (0, 1)}, {len(K2_ARCS): (0, 1)}):
+    for bad in ([-1], [len(K2_ARCS)], [0, len(K2_ARCS)]):
         with pytest.raises(InputError):
-            network.solve(bad)
-    assert network.solve({}) is not None
+            network.feasible(bad)
+    assert network.feasible()
 
 
 @st.composite
 def networks(draw):
-    """A small network, then a few override maps over its arcs."""
-    num_nodes = draw(st.integers(min_value=2, max_value=5))
-    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    """A small network, then closed-arc lists.
+
+    Node 1 has lower bounds in and out, plus free parallel arcs, so closing one
+    of its bounded arcs can flip the sign of its imbalance and stay feasible.
+    """
+    num_nodes = draw(st.integers(min_value=3, max_value=6))
+    sink = num_nodes - 1
+    node = st.integers(min_value=0, max_value=sink)
     bounds = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted).map(tuple)
-    arcs = draw(st.lists(st.tuples(node, node, bounds), min_size=1, max_size=8))
-    arcs = [(u, v, lo, up) for u, v, (lo, up) in arcs if u != v]
-    index = st.integers(min_value=0, max_value=max(len(arcs) - 1, 0))
-    solves = draw(st.lists(st.dictionaries(index, bounds, max_size=4), max_size=4))
-    return num_nodes, arcs, [{i: b for i, b in o.items() if i < len(arcs)} for o in solves]
+    positive = st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1]))
+    through = [(0, 1, *draw(positive)), (1, sink, *draw(positive)), (0, 1, 0, 3), (1, sink, 0, 3)]
+    arcs = draw(st.lists(st.tuples(node, node, bounds), max_size=6))
+    arcs = through + [(u, v, lo, up) for u, v, (lo, up) in arcs if u != v]
+    index = st.integers(min_value=0, max_value=len(arcs) - 1)
+    return num_nodes, arcs, draw(st.lists(st.lists(index, max_size=4), max_size=4))
 
 
 @given(networks())
 @settings(deadline=None)
 def test_reused_network_agrees_with_fresh_feasible_flow(case):
-    num_nodes, arcs, solves = case
+    num_nodes, arcs, decisions = case
     network = FeasibleFlow(num_nodes, arcs, 0, num_nodes - 1)
-    for overrides in solves + [{}]:
-        fresh_arcs = edited(arcs, overrides)
-        got = network.solve(overrides)
-        fresh = feasible_flow(num_nodes, fresh_arcs, 0, num_nodes - 1)
-        assert (got is None) == (fresh is None)
-        if got is not None:
-            assert_valid_flow(num_nodes, fresh_arcs, 0, num_nodes - 1, got)
+    edges = len(network.net.to)
+    for closed in decisions + [[]]:
+        fresh = feasible_flow(num_nodes, closing(arcs, closed), 0, num_nodes - 1)
+        assert network.feasible(closed) == (fresh is not None)
+        assert len(network.net.to) == edges

@@ -2,8 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from fracfactor import InputError, SweepConfig, constructions, parse_sweep_config, run_sweep
-from fracfactor.sweep import derive_seed
+from fracfactor import (
+    InputError,
+    ResourceLimitError,
+    SweepConfig,
+    constructions,
+    parse_sweep_config,
+    run_sweep,
+)
+from fracfactor.sweep import EXHAUSTIVE_ORDER_LIMIT, derive_seed
 
 
 CONFIG_TEXT = """
@@ -81,6 +88,16 @@ def test_config_rejects_orders_above_cap():
     )
     with pytest.raises(InputError, match="cap"):
         config.validate()
+
+
+def test_exhaustive_order_is_capped():
+    text = "[params]\npairs = 1,1\n[exhaustive]\nmax_n = {}\n"
+    assert parse_sweep_config(text.format(EXHAUSTIVE_ORDER_LIMIT)).exhaustive_max_n == 7
+    for max_n in (EXHAUSTIVE_ORDER_LIMIT + 1, 12):
+        with pytest.raises(ResourceLimitError, match="cap of 7"):
+            parse_sweep_config(text.format(max_n))
+        with pytest.raises(ResourceLimitError):
+            SweepConfig(pairs=((1, 1),), exhaustive_max_n=max_n).validate()
 
 
 def test_derive_seed_is_stable():
