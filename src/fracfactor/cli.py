@@ -21,7 +21,6 @@ from pathlib import Path
 from .conditions import check_criticality_conditions
 from .constructions import (
     GENERATED_KINDS,
-    KIND_DEGREE,
     KIND_NEIGHBORHOOD,
     KIND_RANDOM,
     min_degree_extremal_graph,

@@ -15,7 +15,7 @@ from typing import Iterator
 from .errors import ResourceLimitError
 from .factor import FactorParams, ViolationCertificate, double_cover, find_fractional_factor
 from .graphs import Graph
-from .maxflow import FeasibleFlow
+from .maxflow import Dinic
 
 DEFAULT_CRITICALITY_LIMIT = 20
 
@@ -113,31 +113,110 @@ class CriticalityReport:
         return out
 
 
-def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:
-    """Check every independent-set deletion, stopping at the first failure.
+def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozenset[int], bool]]:
+    """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of the independent sets.
 
-    Deleting I zeroes the [a, b] windows of I on one double-cover network, so
-    a set costs one max-flow; only a failing set is deleted, for its certificate.
+    One network, no lower bounds: s -> v+ with capacity a, v- -> t with
+    capacity b, and unit arcs u+ -> w- and w+ -> u- for each edge uw. G - I
+    has a fractional [a,b]-factor iff the max-flow with both window arcs of
+    each vertex of I closed is a(n - |I|). (=>) Scale a factor's weights at
+    each v+ down to a; flow integrality does the rest. (<=) The cut
+    {s} + T+ + S- has capacity a(n - |T|) + b|S| + d_{G-S}(T), so a saturating
+    flow gives b|S| + d_{G-S}(T) - a|T| >= 0 for every S, the test in factor.py.
+
+    A child is its parent plus one vertex v above the parent's maximum. It
+    copies the parent's saturated residual capacities, cancels the unit paths
+    s -> u+ -> w- -> t through v+ and v- (a + at most b of them), closes v's
+    windows and resumes Dinic, which must restore the units cancelled through
+    v-. DFS preorder is lexicographic among sets of one size, so once a set of
+    size k fails, no later set of size k or more is decided, and no failing set
+    is extended: the last failing set yielded is the first in (size, lex) order.
+    """
+    n, a = g.n, params.a
+    nodes, arcs, s, t = double_cover(n, g.edges(), params)
+    net = Dinic(nodes)
+    for u, v, lo, up in arcs:
+        net.add_edge(u, v, lo if u == s else up)  # arc i is edge 2i; v's windows are 4v, 4v + 2
+    head, to = net.head, net.to
+    masks = g.adjacency_masks()
+    smallest_failure = n + 1
+
+    def close(v: int) -> int:
+        """Cancel the flow through v on net.cap, close v's windows, return the units cut at v-."""
+        cap = net.cap
+        for eid in head[2 + v]:
+            if not eid & 1 and cap[eid ^ 1]:  # v+ -> w- carries a unit; free w- -> t
+                window = 4 * (to[eid] - 2 - n) + 2
+                cap[eid] += 1
+                cap[eid ^ 1] -= 1
+                cap[window] += 1
+                cap[window ^ 1] -= 1
+        cut = 0
+        for eid in head[2 + n + v]:
+            if eid & 1 and cap[eid]:  # u+ -> v- carries a unit; free s -> u+
+                window = 4 * (to[eid] - 2)
+                cap[eid] -= 1
+                cap[eid ^ 1] += 1
+                cap[window] += 1
+                cap[window ^ 1] -= 1
+                cut += 1
+        cap[4 * v : 4 * v + 4] = [0, 0, 0, 0]
+        return cut
+
+    def children(
+        ind: list[int], forbidden: int, parent: list[int]
+    ) -> Iterator[tuple[frozenset[int], bool]]:
+        nonlocal smallest_failure
+        for v in range(ind[-1] + 1 if ind else 0, n):
+            if len(ind) + 1 >= smallest_failure:
+                return
+            if (forbidden >> v) & 1:
+                continue
+            net.cap = parent[:]
+            cut = close(v)
+            ind.append(v)
+            ok = net.max_flow(s, t) == cut
+            yield frozenset(ind), ok
+            if ok:
+                yield from children(ind, forbidden | masks[v], net.cap)
+            else:
+                smallest_failure = len(ind)
+            ind.pop()
+
+    ok = net.max_flow(s, t) == a * n
+    yield frozenset(), ok
+    if ok:
+        yield from children([], 0, net.cap)
+
+
+def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:
+    """Check every independent-set deletion and report the first failure in (size, lex) order.
+
+    The verdicts come from deletion_verdicts; only the failing set is deleted,
+    for its certificate, and its 1-based index in enumerate_independent_sets
+    order is found by walking that order again.
     """
     if g.n > DEFAULT_CRITICALITY_LIMIT:
         raise ResourceLimitError(
             f"criticality check over {g.n} vertices exceeds the cap of "
             f"{DEFAULT_CRITICALITY_LIMIT}"
         )
-    network = FeasibleFlow(*double_cover(g.n, g.edges(), params))
-    checked = 0
-    for ind in enumerate_independent_sets(g):
-        checked += 1
-        if not network.feasible([i for v in ind for i in (2 * v, 2 * v + 1)]):
-            sub, remap = g.delete_vertices(ind)
-            result = find_fractional_factor(sub, params)
-            if result:
-                raise RuntimeError("double-cover network and solver disagree; this is a bug")
-            return CriticalityReport(
-                verdict=False,
-                independent_sets_checked=checked,
-                failing_set=ind,
-                failing_certificate=result.certificate,
-                vertex_map=remap,
-            )
-    return CriticalityReport(verdict=True, independent_sets_checked=checked)
+    failing, decided = None, 0
+    for ind, ok in deletion_verdicts(g, params):
+        decided += 1
+        if not ok:
+            failing = ind
+    if failing is None:
+        return CriticalityReport(verdict=True, independent_sets_checked=decided)
+    checked = next(i for i, ind in enumerate(enumerate_independent_sets(g), 1) if ind == failing)
+    sub, remap = g.delete_vertices(failing)
+    result = find_fractional_factor(sub, params)
+    if result:
+        raise RuntimeError("double-cover network and solver disagree; this is a bug")
+    return CriticalityReport(
+        verdict=False,
+        independent_sets_checked=checked,
+        failing_set=failing,
+        failing_certificate=result.certificate,
+        vertex_map=remap,
+    )

@@ -234,7 +234,8 @@ def double_cover(
 
     Node 0 is the source, 1 the sink, 2 + v is v+ and 2 + n + v is v-. Arcs
     2v (source -> v+) and 2v + 1 (v- -> sink) carry v's [a, b] window; edge k
-    gives unit arcs 2n + 2k (u+ -> v-) and 2n + 2k + 1 (v+ -> u-).
+    gives unit arcs 2n + 2k (u+ -> v-) and 2n + 2k + 1 (v+ -> u-). The
+    criticality check builds its lower-bound-free network on the same layout.
     """
     a, b = params.a, params.b
     arcs = [arc for v in range(2, n + 2) for arc in ((0, v, a, b), (n + v, 1, a, b))]

@@ -7,7 +7,6 @@ entire contract the factor solver and the criticality check need from here.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
 
 from .errors import InputError
 
@@ -103,64 +102,27 @@ class Dinic:
 Arc = tuple[int, int, int, int]  # (u, v, lower, upper)
 
 
-class FeasibleFlow:
-    """feasible_flow's network, built once and re-decided with some arcs closed.
-
-    The usual reduction: subtract lower bounds, route node imbalances through a
-    super source/sink and close the circulation with an unbounded sink->source
-    arc. A node gets a super-source arc if some arc into it has a positive lower
-    bound and a super-sink arc if some arc out of it has one, so closing arcs
-    only changes capacities. Every decision starts from a copy of the capacity
-    template, so no state leaks.
-    """
-
-    def __init__(self, num_nodes: int, arcs: list[Arc], source: int, sink: int) -> None:
-        self.arcs = arcs
-        net = self.net = Dinic(num_nodes + 2)
-        into, out = [0] * num_nodes, [0] * num_nodes  # lower bounds in and out of each node
-        for u, v, lo, up in arcs:
-            if not 0 <= lo <= up:
-                raise InputError(f"arc ({u}, {v}) has invalid bounds [{lo}, {up}]")
-            net.add_edge(u, v, up - lo)  # arc i is edge 2i
-            into[v] += lo
-            out[u] += lo
-        loop_id = net.add_edge(sink, source, sum(up for _, _, _, up in arcs) + 1)
-        self.imbalance = [i - o for i, o in zip(into, out)]
-        # Super arcs follow the loop arc in node order: sign +1 is an arc from the
-        # super source, -1 an arc to the super sink. feasible() sets their capacities.
-        self.supers: list[tuple[int, int]] = []
-        for v in range(num_nodes):
-            if into[v]:
-                self.supers.append((v, 1))
-                net.add_edge(num_nodes, v, 0)
-            if out[v]:
-                self.supers.append((v, -1))
-                net.add_edge(v, num_nodes + 1, 0)
-        self.first_super = loop_id + 2
-        self.template = net.cap
-
-    def feasible(self, closed: Iterable[int] = ()) -> bool:
-        """Whether a feasible flow exists with the closed arcs bounded to [0, 0].
-
-        The flow stays on net.cap: an open arc i carries lower + net.cap[2i + 1].
-        """
-        arcs, imbalance = self.arcs, self.imbalance[:]
-        cap = self.net.cap = self.template[:]
-        for i in set(closed):
-            if not 0 <= i < len(arcs):
-                raise InputError(f"arc {i} is not one of the {len(arcs)} arcs")
-            u, v, lo, _ = arcs[i]
-            cap[2 * i] = 0
-            imbalance[v] -= lo
-            imbalance[u] += lo
-        cap[self.first_super :: 2] = [max(sign * imbalance[v], 0) for v, sign in self.supers]
-        need = sum(bal for bal in imbalance if bal > 0)
-        return self.net.max_flow(len(imbalance), len(imbalance) + 1) == need
-
-
 def feasible_flow(num_nodes: int, arcs: list[Arc], source: int, sink: int) -> list[int] | None:
-    """Integral flow of each (u, v, lower, upper) arc within its bounds, or None if none exists."""
-    network = FeasibleFlow(num_nodes, arcs, source, sink)
-    if not network.feasible():
+    """Integral flow of each (u, v, lower, upper) arc within its bounds, or None if none exists.
+
+    The usual reduction: subtract lower bounds, close the circulation with an
+    unbounded sink -> source arc, and route each node's imbalance through a
+    super source (surplus of lower bounds in) or super sink (surplus out).
+    """
+    net = Dinic(num_nodes + 2)
+    imbalance = [0] * num_nodes
+    for u, v, lo, up in arcs:
+        if not 0 <= lo <= up:
+            raise InputError(f"arc ({u}, {v}) has invalid bounds [{lo}, {up}]")
+        net.add_edge(u, v, up - lo)  # arc i is edge 2i
+        imbalance[v] += lo
+        imbalance[u] -= lo
+    net.add_edge(sink, source, sum(up for _, _, _, up in arcs) + 1)
+    for v, bal in enumerate(imbalance):
+        if bal > 0:
+            net.add_edge(num_nodes, v, bal)
+        elif bal < 0:
+            net.add_edge(v, num_nodes + 1, -bal)
+    if net.max_flow(num_nodes, num_nodes + 1) != sum(bal for bal in imbalance if bal > 0):
         return None
-    return [lo + x for (_, _, lo, _), x in zip(arcs, network.net.cap[1 : 2 * len(arcs) : 2])]
+    return [lo + x for (_, _, lo, _), x in zip(arcs, net.cap[1 : 2 * len(arcs) : 2])]

@@ -62,3 +62,11 @@ def naive_independent_sets(n: int, edges) -> list[frozenset[int]]:
         if all(v not in adj[u] for u in s for v in s)
     ]
     return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def naive_deletion(n: int, edges, drop) -> tuple[int, list[tuple[int, int]]]:
+    """G - drop, its surviving vertices relabelled 0.. in increasing order."""
+    dropped = set(drop)
+    kept = [v for v in range(n) if v not in dropped]
+    label = {v: i for i, v in enumerate(kept)}
+    return len(kept), [(label[u], label[v]) for u, v in edges if u in label and v in label]

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from fracfactor import (
-    ConstructionError,
     FactorParams,
     InputError,
     Infeasible,

@@ -88,6 +88,20 @@ def test_c4_fails_on_first_singleton():
     assert report.independent_sets_checked == 2
 
 
+def test_smaller_failure_found_after_a_larger_one_wins():
+    # the DFS decides {0, 2} (which fails) before {1}; {1} is first in (size, lex) order
+    report = is_fractional_id_factor_critical(path_graph(3), FactorParams(1, 2))
+    assert report.failing_set == frozenset({1})
+    assert report.independent_sets_checked == 3
+
+
+def test_smaller_failure_in_a_later_subtree_wins():
+    # the DFS decides {0, 1} (which fails) before {1}
+    g = Graph(4, [(0, 2), (1, 2), (1, 3)])
+    report = is_fractional_id_factor_critical(g, FactorParams(1, 2))
+    assert report.failing_set == frozenset({1})
+
+
 def test_failing_certificate_translates_back():
     report = is_fractional_id_factor_critical(cycle_graph(4), P11)
     # G - {0} is the path 1-2-3 re-indexed to 0-1-2

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from fracfactor.errors import InputError
-from fracfactor.maxflow import Dinic, FeasibleFlow, feasible_flow
+from fracfactor.maxflow import Dinic, feasible_flow
 
 
 def test_single_edge():
@@ -138,67 +138,28 @@ def test_feasible_flow_all_flows_within_bounds():
     assert flows[1] + flows[4] == flows[3]
 
 
-# -- one network, many decisions ----------------------------------------------
-
-
-def closing(arcs, closed):
-    return [(arc[0], arc[1], 0, 0) if i in closed else arc for i, arc in enumerate(arcs)]
-
-
-# K2's double cover: windows 0 (s -> 0+), 1 (0- -> t), 2 (s -> 1+), 3 (1- -> t)
-K2_ARCS = [(0, 2, 1, 1), (4, 1, 1, 1), (0, 3, 1, 1), (5, 1, 1, 1), (2, 5, 0, 1), (3, 4, 0, 1)]
-
-
-def test_reused_network_matches_fresh_solves_in_any_order():
-    network = FeasibleFlow(6, K2_ARCS, 0, 1)
-    edges = len(network.net.to)
-    sequence = [
-        [],  # K2 has a perfect matching
-        [0, 1],  # delete vertex 0: K1 has no [1, 1]-factor
-        [],  # feasible again: nothing leaked from the infeasible decision
-        [0, 1, 2, 3],  # every window closed: order 0 is feasible
-    ]
-    for closed in sequence:
-        fresh = feasible_flow(6, closing(K2_ARCS, closed), 0, 1)
-        assert network.feasible(closed) == (fresh is not None), closed
-        assert len(network.net.to) == edges
-    assert [network.feasible(c) for c in sequence] == [True, False, True, True]
-
-
-def test_reused_network_rejects_invalid_overrides():
-    network = FeasibleFlow(6, K2_ARCS, 0, 1)
-    for bad in ([-1], [len(K2_ARCS)], [0, len(K2_ARCS)]):
-        with pytest.raises(InputError):
-            network.feasible(bad)
-    assert network.feasible()
-
 
 @st.composite
 def networks(draw):
-    """A small network, then closed-arc lists.
-
-    Node 1 has lower bounds in and out, plus free parallel arcs, so closing one
-    of its bounded arcs can flip the sign of its imbalance and stay feasible.
-    """
-    num_nodes = draw(st.integers(min_value=3, max_value=6))
-    sink = num_nodes - 1
-    node = st.integers(min_value=0, max_value=sink)
-    bounds = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted).map(tuple)
-    positive = st.tuples(st.integers(1, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1]))
-    through = [(0, 1, *draw(positive)), (1, sink, *draw(positive)), (0, 1, 0, 3), (1, sink, 0, 3)]
-    arcs = draw(st.lists(st.tuples(node, node, bounds), max_size=6))
-    arcs = through + [(u, v, lo, up) for u, v, (lo, up) in arcs if u != v]
-    index = st.integers(min_value=0, max_value=len(arcs) - 1)
-    return num_nodes, arcs, draw(st.lists(st.lists(index, max_size=4), max_size=4))
+    """A small network whose arcs may carry lower bounds; source 0, sink num_nodes - 1."""
+    num_nodes = draw(st.integers(min_value=2, max_value=6))
+    node = st.integers(min_value=0, max_value=num_nodes - 1)
+    bounds = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted)
+    arcs = draw(st.lists(st.tuples(node, node, bounds), max_size=8))
+    return num_nodes, [(u, v, lo, up) for u, v, (lo, up) in arcs if u != v]
 
 
 @given(networks())
-@settings(deadline=None)
-def test_reused_network_agrees_with_fresh_feasible_flow(case):
-    num_nodes, arcs, decisions = case
-    network = FeasibleFlow(num_nodes, arcs, 0, num_nodes - 1)
-    edges = len(network.net.to)
-    for closed in decisions + [[]]:
-        fresh = feasible_flow(num_nodes, closing(arcs, closed), 0, num_nodes - 1)
-        assert network.feasible(closed) == (fresh is not None)
-        assert len(network.net.to) == edges
+def test_feasible_flow_conserves_within_bounds(case):
+    num_nodes, arcs = case
+    flows = feasible_flow(num_nodes, arcs, 0, num_nodes - 1)
+    if all(lo == 0 for _, _, lo, _ in arcs):
+        assert flows is not None  # the zero flow is feasible
+    if flows is None:
+        return
+    net = [0] * num_nodes
+    for (u, v, lo, up), f in zip(arcs, flows):
+        assert lo <= f <= up
+        net[u] -= f
+        net[v] += f
+    assert net[1:-1] == [0] * (num_nodes - 2)

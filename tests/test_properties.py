@@ -17,7 +17,9 @@ from fracfactor import (
     validate_assignment,
 )
 
-from oracle import naive_has_factor, naive_independent_sets, naive_violation
+from fracfactor.criticality import deletion_verdicts
+
+from oracle import naive_deletion, naive_has_factor, naive_independent_sets, naive_violation
 
 
 @st.composite
@@ -126,3 +128,20 @@ def test_criticality_report_matches_deleting_every_set(g, p):
             break
         expected = CriticalityReport(verdict=True, independent_sets_checked=checked)
     assert is_fractional_id_factor_critical(g, p) == expected
+
+
+@given(graphs(max_n=8), params(max_b=4))
+@settings(deadline=None, max_examples=80)
+def test_warm_started_deletion_verdicts_match_the_oracle(g, p):
+    edges = g.edges()
+    verdicts = list(deletion_verdicts(g, p))
+    decided = [ind for ind, _ in verdicts]
+    assert len(set(decided)) == len(decided)
+    for ind, ok in verdicts:
+        assert ok == naive_has_factor(*naive_deletion(g.n, edges, ind), p.a, p.b), sorted(ind)
+    # every set before the last failure in (size, lex) order is decided and
+    # feasible, so that failure is the first one
+    order = naive_independent_sets(g.n, edges)
+    failures = [ind for ind, ok in verdicts if not ok]
+    end = order.index(failures[-1]) if failures else len(order)
+    assert all(dict(verdicts).get(s) for s in order[:end])
