@@ -184,13 +184,22 @@ class DeletionCheck:
 
 
 def check_deletion_invariants(
-    g: Graph, params: FactorParams, ind_set: object
+    g: Graph,
+    params: FactorParams,
+    ind_set: object,
+    conditions: ConditionReport | None = None,
 ) -> DeletionCheck:
-    """Audit the two derived bounds for an independent set of a passing graph."""
+    """Audit the two derived bounds for an independent set of a passing graph.
+
+    conditions, when given, is check_criticality_conditions(g, params) as the
+    caller already holds it; it is evaluated here otherwise.
+    """
     x = g.vertex_subset(ind_set)
     if not g.is_independent(x):
         raise InputError("the audited vertex set must be independent")
-    report = check_criticality_conditions(g, params)
+    report = check_criticality_conditions(g, params) if conditions is None else conditions
+    if (report.n, report.a, report.b) != (g.n, params.a, params.b):
+        raise InputError("the condition report is for another order or (a, b) pair")
     if not report.all_ok:
         raise InputError(
             "deletion invariants only apply when the order, degree and "

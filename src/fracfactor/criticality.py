@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .factor import FactorParams, ViolationCertificate, double_cover, find_fractional_factor
-from .graphs import Graph
-from .maxflow import Dinic
+from .factor import FactorParams, ViolationCertificate, find_fractional_factor
+from .graphs import Graph, mask_vertices
 
 DEFAULT_CRITICALITY_LIMIT = 20
 
@@ -116,77 +115,123 @@ class CriticalityReport:
 def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozenset[int], bool]]:
     """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of the independent sets.
 
-    One network, no lower bounds: s -> v+ with capacity a, v- -> t with
-    capacity b, and unit arcs u+ -> w- and w+ -> u- for each edge uw. G - I
-    has a fractional [a,b]-factor iff the max-flow with both window arcs of
-    each vertex of I closed is a(n - |I|). (=>) Scale a factor's weights at
-    each v+ down to a; flow integrality does the rest. (<=) The cut
+    The flow model is the double cover without lower bounds: s -> u+ with
+    capacity a, w- -> t with capacity b, and unit arcs u+ -> w- and w+ -> u-
+    for each edge uw. G - I has a fractional [a,b]-factor iff the max-flow on
+    the vertices outside I is a(n - |I|). (=>) Scale a factor's weights at
+    each u+ down to a; flow integrality does the rest. (<=) The cut
     {s} + T+ + S- has capacity a(n - |T|) + b|S| + d_{G-S}(T), so a saturating
     flow gives b|S| + d_{G-S}(T) - a|T| >= 0 for every S, the test in factor.py.
 
+    An integral flow is a b-matching: each left vertex u sends at most a
+    units, each to a different neighbour w on the right, and w takes at most
+    b. Bit w of used[u] and bit u of owners[w] mark the unit u -> w; bit w of
+    full marks a right vertex at load b; alive masks the vertices outside I.
+    A search from a left vertex u short of a is a BFS over alternating paths:
+    from a left x to its unused live neighbours, from a full right vertex to
+    its owners. It stops at a right vertex below b and flips the path, which
+    gives u one more unit and changes no other load on the left.
+
+    A failed search decides the set. Let X be what the residual graph reaches
+    from u+ without passing through s. t is not in X, and every arc leaving X
+    for a node other than s is saturated. An augmenting path never returns to
+    s, so none enters X, and none changes an arc leaving X. s -> u+ stays
+    unsaturated in every later flow, so the max-flow is below a(n - |I|).
+
     A child is its parent plus one vertex v above the parent's maximum. It
-    copies the parent's saturated residual capacities, cancels the unit paths
-    s -> u+ -> w- -> t through v+ and v- (a + at most b of them), closes v's
-    windows and resumes Dinic, which must restore the units cancelled through
-    v-. DFS preorder is lexicographic among sets of one size, so once a set of
-    size k fails, no later set of size k or more is decided, and no failing set
-    is extended: the last failing set yielded is the first in (size, lex) order.
+    copies the parent's saturated b-matching and drops v's units in and out.
+    Every sender that lost its unit into v (at most b of them) is then one
+    short, and one search each restores it or decides the set infeasible.
+    DFS preorder is lexicographic among sets of one size, so once a set of
+    size k fails, no later set of size k or more is decided, and no failing
+    set is extended: the last failing set yielded is the first in (size, lex)
+    order.
     """
-    n, a = g.n, params.a
-    nodes, arcs, s, t = double_cover(n, g.edges(), params)
-    net = Dinic(nodes)
-    for u, v, lo, up in arcs:
-        net.add_edge(u, v, lo if u == s else up)  # arc i is edge 2i; v's windows are 4v, 4v + 2
-    head, to = net.head, net.to
-    masks = g.adjacency_masks()
+    n, a, b = g.n, params.a, params.b
+    adj = g.adjacency_masks()
     smallest_failure = n + 1
 
-    def close(v: int) -> int:
-        """Cancel the flow through v on net.cap, close v's windows, return the units cut at v-."""
-        cap = net.cap
-        for eid in head[2 + v]:
-            if not eid & 1 and cap[eid ^ 1]:  # v+ -> w- carries a unit; free w- -> t
-                window = 4 * (to[eid] - 2 - n) + 2
-                cap[eid] += 1
-                cap[eid ^ 1] -= 1
-                cap[window] += 1
-                cap[window ^ 1] -= 1
-        cut = 0
-        for eid in head[2 + n + v]:
-            if eid & 1 and cap[eid]:  # u+ -> v- carries a unit; free s -> u+
-                window = 4 * (to[eid] - 2)
-                cap[eid] -= 1
-                cap[eid ^ 1] += 1
-                cap[window] += 1
-                cap[window ^ 1] -= 1
-                cut += 1
-        cap[4 * v : 4 * v + 4] = [0, 0, 0, 0]
-        return cut
+    def search(u: int, used: list[int], owners: list[int], full: int, alive: int) -> int:
+        """Give u one more unit; return the new full mask, or -1 if no path exists."""
+        via: dict[int, int] = {}  # right w -> the left vertex the BFS reached it from
+        came: dict[int, int] = {}  # left y -> the full right vertex it would give up
+        seen_left, seen_right = 1 << u, 0
+        queue = [u]
+        for x in queue:
+            reach = adj[x] & alive & ~used[x] & ~seen_right
+            free = reach & ~full
+            if free:
+                w = (free & -free).bit_length() - 1
+                owners[w] |= 1 << x
+                if owners[w].bit_count() == b:
+                    full |= 1 << w
+                used[x] |= 1 << w
+                while x != u:  # x gives up the unit it was reached through
+                    w = came[x]
+                    used[x] ^= 1 << w
+                    owners[w] ^= 1 << x
+                    x = via[w]
+                    used[x] |= 1 << w
+                    owners[w] |= 1 << x
+                return full
+            seen_right |= reach
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                w = low.bit_length() - 1
+                via[w] = x
+                fresh = owners[w] & ~seen_left
+                seen_left |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    y = low.bit_length() - 1
+                    came[y] = w
+                    queue.append(y)
+        return -1
 
     def children(
-        ind: list[int], forbidden: int, parent: list[int]
+        ind: list[int], forbidden: int, parent: tuple[list[int], list[int], int, int]
     ) -> Iterator[tuple[frozenset[int], bool]]:
         nonlocal smallest_failure
+        parent_used, parent_owners, parent_full, parent_alive = parent
         for v in range(ind[-1] + 1 if ind else 0, n):
             if len(ind) + 1 >= smallest_failure:
                 return
             if (forbidden >> v) & 1:
                 continue
-            net.cap = parent[:]
-            cut = close(v)
+            # Dropping v's units out only lowers loads; each sender into v is one short.
+            used, owners = parent_used[:], parent_owners[:]
+            for w in mask_vertices(used[v]):
+                owners[w] ^= 1 << v
+            senders = owners[v]
+            for x in mask_vertices(senders):
+                used[x] ^= 1 << v
+            used[v] = owners[v] = 0
+            full = parent_full & ~parent_used[v] & ~(1 << v)
+            alive = parent_alive & ~(1 << v)
+            for x in mask_vertices(senders):
+                full = search(x, used, owners, full, alive)
+                if full < 0:
+                    break
             ind.append(v)
-            ok = net.max_flow(s, t) == cut
+            ok = full >= 0
             yield frozenset(ind), ok
             if ok:
-                yield from children(ind, forbidden | masks[v], net.cap)
+                yield from children(ind, forbidden | adj[v], (used, owners, full, alive))
             else:
                 smallest_failure = len(ind)
             ind.pop()
 
-    ok = net.max_flow(s, t) == a * n
+    used, owners, full, alive = [0] * n, [0] * n, 0, (1 << n) - 1
+    for u in [*range(n)] * a:  # every vertex starts a units short
+        full = search(u, used, owners, full, alive)
+        if full < 0:
+            break
+    ok = full >= 0
     yield frozenset(), ok
     if ok:
-        yield from children([], 0, net.cap)
+        yield from children([], 0, (used, owners, full, alive))
 
 
 def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:
@@ -212,7 +257,7 @@ def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> Critical
     sub, remap = g.delete_vertices(failing)
     result = find_fractional_factor(sub, params)
     if result:
-        raise RuntimeError("double-cover network and solver disagree; this is a bug")
+        raise RuntimeError("deletion search and solver disagree; this is a bug")
     return CriticalityReport(
         verdict=False,
         independent_sets_checked=checked,

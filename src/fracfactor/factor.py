@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Literal, Mapping, Union
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Edge, Graph, content_lines
+from .graphs import Edge, Graph, content_lines, mask_vertices
 from .maxflow import Arc, feasible_flow
 
 DEFAULT_BRUTE_FORCE_LIMIT = 20
@@ -171,9 +171,9 @@ def has_fractional_factor_bruteforce(
             key = (delta, smask.bit_count())
             if best_key is None or key < best_key:
                 best_key = key
-                best_verts = _mask_to_tuple(smask)
+                best_verts = mask_vertices(smask)
             elif key == best_key:
-                verts = _mask_to_tuple(smask)
+                verts = mask_vertices(smask)
                 if verts < best_verts:  # type: ignore[operator]
                     best_verts = verts
     if best_key is None:
@@ -181,15 +181,6 @@ def has_fractional_factor_bruteforce(
     s_set = frozenset(best_verts or ())
     t_set, delta = delta_st(g, params, s_set)
     return ViolationCertificate(s=s_set, t=t_set, delta=delta)
-
-
-def _mask_to_tuple(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def find_fractional_factor(
@@ -234,8 +225,7 @@ def double_cover(
 
     Node 0 is the source, 1 the sink, 2 + v is v+ and 2 + n + v is v-. Arcs
     2v (source -> v+) and 2v + 1 (v- -> sink) carry v's [a, b] window; edge k
-    gives unit arcs 2n + 2k (u+ -> v-) and 2n + 2k + 1 (v+ -> u-). The
-    criticality check builds its lower-bound-free network on the same layout.
+    gives unit arcs 2n + 2k (u+ -> v-) and 2n + 2k + 1 (v+ -> u-).
     """
     a, b = params.a, params.b
     arcs = [arc for v in range(2, n + 2) for arc in ((0, v, a, b), (n + v, 1, a, b))]

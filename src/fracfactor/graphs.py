@@ -18,7 +18,7 @@ Edge = tuple[int, int]
 class Graph:
     """A finite simple undirected graph."""
 
-    __slots__ = ("n", "_adj", "_masks")
+    __slots__ = ("n", "_adj", "_masks", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if not isinstance(n, int) or n < 0:
@@ -39,6 +39,7 @@ class Graph:
         self.n = n
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
         self._masks: tuple[int, ...] | None = None
+        self._edges: tuple[Edge, ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -47,8 +48,12 @@ class Graph:
         return sum(len(s) for s in self._adj) // 2
 
     def edges(self) -> list[Edge]:
-        """All edges as (u, v) pairs with u < v, sorted."""
-        return sorted((u, v) for u in range(self.n) for v in self._adj[u] if u < v)
+        """All edges as (u, v) pairs with u < v, sorted; built once, a new list per call."""
+        if self._edges is None:
+            self._edges = tuple(
+                sorted((u, v) for u in range(self.n) for v in self._adj[u] if u < v)
+            )
+        return list(self._edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -137,6 +142,16 @@ class Graph:
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or not 0 <= v < self.n:
             raise InputError(f"vertex {v!r} out of range for {self.n} vertices")
+
+
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices whose bits are set in mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 # -- standard families ------------------------------------------------------

@@ -1,7 +1,7 @@
 """Dinic max-flow and feasible flow under arc lower bounds.
 
 Integer capacities in, integer flows out, polynomial worst case. That is the
-entire contract the factor solver and the criticality check need from here.
+entire contract the factor solver needs from here.
 """
 
 from __future__ import annotations

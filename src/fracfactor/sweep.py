@@ -249,7 +249,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 )
 
             for ind in maximal_independent_sets(g):
-                audit = check_deletion_invariants(g, params, ind)
+                audit = check_deletion_invariants(g, params, ind, report)
                 summary.invariant_checks += 1
                 if not audit.consistent:
                     summary.counterexamples.append(

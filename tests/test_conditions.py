@@ -134,3 +134,18 @@ def test_deletion_invariants_on_dense_tripartite():
     audit = check_deletion_invariants(g, P11, {0, 1})
     assert audit.consistent
     assert audit.deleted_min_degree == 2
+
+
+def test_deletion_invariants_take_the_callers_condition_report():
+    g = complete_multipartite_graph((2, 2, 2))
+    report = check_criticality_conditions(g, P11)
+    assert check_deletion_invariants(g, P11, {0, 1}, report) == check_deletion_invariants(
+        g, P11, {0, 1}
+    )
+    with pytest.raises(InputError, match="another order"):
+        check_deletion_invariants(g, FactorParams(1, 2), {0, 1}, report)
+    with pytest.raises(InputError, match="another order"):
+        check_deletion_invariants(complete_graph(5), P11, {0}, report)
+    failing = check_criticality_conditions(cycle_graph(6), P11)
+    with pytest.raises(InputError, match="conditions"):
+        check_deletion_invariants(cycle_graph(6), P11, {0}, failing)

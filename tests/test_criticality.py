@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from fracfactor import (
@@ -12,11 +14,17 @@ from fracfactor import (
     has_fractional_factor_bruteforce,
     is_fractional_id_factor_critical,
     maximal_independent_sets,
+    min_degree_extremal_graph,
+    neighborhood_extremal_graph,
     path_graph,
+    random_graph,
 )
+from fracfactor.criticality import deletion_verdicts
+from fracfactor.factor import double_cover
 from fracfactor.graphs import Graph
+from fracfactor.maxflow import feasible_flow
 
-from oracle import naive_independent_sets
+from oracle import naive_deletion, naive_has_factor, naive_independent_sets
 
 P11 = FactorParams(1, 1)
 
@@ -100,6 +108,72 @@ def test_smaller_failure_in_a_later_subtree_wins():
     g = Graph(4, [(0, 2), (1, 2), (1, 3)])
     report = is_fractional_id_factor_critical(g, FactorParams(1, 2))
     assert report.failing_set == frozenset({1})
+
+
+def assert_verdicts_match_the_oracle(g, params, verdicts):
+    for ind, ok in verdicts:
+        sub = naive_deletion(g.n, g.edges(), ind)
+        assert ok == naive_has_factor(*sub, params.a, params.b), sorted(ind)
+
+
+def test_a_restore_reroutes_through_a_full_right_vertex():
+    # The paw: triangle 1-2-3 and the pendant 0 on 1, under (1,1). Four units
+    # fill four right copies of capacity 1, and only 1 can fill the right copy
+    # of 0, so in every saturated b-matching 1 sends to 0 and every right copy
+    # is full. Deleting 0 leaves 1 one unit short, and its live neighbours 2
+    # and 3 are full: the search goes 1 -> 2 -> 3 -> 1, handing 3's unit over
+    # to the right copy of 1, which lost 0's unit.
+    g = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+    verdicts = list(deletion_verdicts(g, P11))
+    assert (frozenset({0}), True) in verdicts
+    assert_verdicts_match_the_oracle(g, P11, verdicts)
+
+
+def test_a_later_unit_that_cannot_be_restored_decides_the_child():
+    # Triangle 0-1-2 with the pendants 3 and 4 on 1, under (1,2). 3 and 4 fill
+    # the right copy of 1, so 0 sends to 2 and 2 to 0; 1 takes the lowest free
+    # right vertex, 0. Deleting 0 cuts two units. 1 restores its own at 2, but
+    # 2 reaches only the full 1, whose owners have no other neighbour: G - {0}
+    # is the star K_{1,3}, whose centre would need 3 > b.
+    g = Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)])
+    params = FactorParams(1, 2)
+    verdicts = list(deletion_verdicts(g, params))
+    assert (frozenset({0}), False) in verdicts
+    assert_verdicts_match_the_oracle(g, params, verdicts)
+
+
+# (a, b) -> family -> t values whose graphs have order at most 20
+EXTREMAL = {
+    (1, 2): {neighborhood_extremal_graph: (1, 2, 3), min_degree_extremal_graph: (2, 3, 4)},
+    (2, 2): {neighborhood_extremal_graph: (1, 2, 3), min_degree_extremal_graph: (1, 2, 3)},
+}
+
+
+def test_deletion_verdicts_match_deleting_and_solving_at_larger_orders():
+    # Orders the hypothesis oracle test (n <= 8) does not reach, where a
+    # restore can take a long reroute. Each G - I is decided by the flow that
+    # find_fractional_factor runs, without its exponential certificate scan.
+    cases = [
+        (random_graph(n, p, 100 * n + 10 * a + b), FactorParams(a, b))
+        for a, b in ((1, 2), (2, 2), (2, 3))
+        for p in (Fraction(1, 2), Fraction(2, 3))
+        for n in range(14, 19)
+    ]
+    cases += [
+        (build(FactorParams(a, b), t)[0], FactorParams(a, b))
+        for (a, b), families in EXTREMAL.items()
+        for build, ts in families.items()
+        for t in ts
+    ]
+    decided = failed = 0
+    for g, params in cases:
+        for ind, ok in deletion_verdicts(g, params):
+            sub, _ = g.delete_vertices(ind)
+            assert ok == (feasible_flow(*double_cover(sub.n, sub.edges(), params)) is not None)
+            decided += 1
+            failed += not ok
+    assert max(g.n for g, _ in cases) == 20
+    assert (decided, failed) == (4832, 25)
 
 
 def test_failing_certificate_translates_back():

@@ -22,6 +22,16 @@ def test_basic_construction():
     assert g.neighbors(1) == frozenset({0, 2})
 
 
+def test_edges_are_a_fresh_list_each_call():
+    g = Graph(4, [(2, 3), (1, 0), (2, 1)])
+    first = g.edges()
+    assert first == [(0, 1), (1, 2), (2, 3)]
+    first.append((0, 3))
+    second = g.edges()
+    assert second == [(0, 1), (1, 2), (2, 3)]
+    assert second is not g.edges()
+
+
 def test_construction_rejects_bad_edges():
     with pytest.raises(InputError):
         Graph(3, [(0, 0)])

@@ -1,0 +1,49 @@
+"""Every name a fracfactor module imports is used there (stdlib ast, no linter)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import fracfactor
+
+MODULES = sorted(Path(fracfactor.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Imported names that the module never references, lists in __all__ counting as references."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {imported[name]}: {name}" for name in sorted(set(imported) - used)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .maxflow import Dinic, feasible_flow\n"
+        "from .graphs import Graph as G\n"
+        "__all__ = ['G']\n"
+        "feasible_flow()\n"
+    )
+    assert unused_imports(source) == ["line 3: Dinic", "line 2: os"]
+    assert len(MODULES) >= 10

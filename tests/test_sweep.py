@@ -7,8 +7,10 @@ from fracfactor import (
     ResourceLimitError,
     SweepConfig,
     constructions,
+    conditions,
     parse_sweep_config,
     run_sweep,
+    sweep,
 )
 from fracfactor.sweep import EXHAUSTIVE_ORDER_LIMIT, derive_seed
 
@@ -138,3 +140,19 @@ def test_sweep_summaries_sorted_by_pair():
     config = SweepConfig(pairs=((1, 2), (1, 1)), exhaustive_max_n=3)
     result = run_sweep(config)
     assert [(s.a, s.b) for s in result.summaries] == [(1, 1), (1, 2)]
+
+
+def test_conditions_are_checked_once_per_graph_and_pair(monkeypatch):
+    # counted under both names, so a recomputation inside check_deletion_invariants shows
+    check, calls = sweep.check_criticality_conditions, []
+
+    def counted(g, params):
+        calls.append((g, params))
+        return check(g, params)
+
+    monkeypatch.setattr(sweep, "check_criticality_conditions", counted)
+    monkeypatch.setattr(conditions, "check_criticality_conditions", counted)
+    result = run_sweep(SweepConfig(pairs=((1, 1), (1, 2)), exhaustive_max_n=5))
+    examined = sum(s.graphs_examined for s in result.summaries)
+    assert sum(s.invariant_checks for s in result.summaries) > 0
+    assert len(calls) == examined == 2 * (1 + 2 + 8 + 64 + 1024)
