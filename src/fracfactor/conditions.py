@@ -100,10 +100,13 @@ def check_criticality_conditions(g: Graph, params: FactorParams) -> ConditionRep
     worst_pair = None
     worst_size = None
     for u in range(n):
-        for v in range(u + 1, n):
-            if (masks[u] >> v) & 1:
-                continue
-            size = (masks[u] | masks[v]).bit_count()
+        mask_u = masks[u]
+        rest = ~mask_u & ((1 << n) - (2 << u))  # the nonadjacent v > u
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            size = (mask_u | masks[v]).bit_count()
             if worst_size is None or size < worst_size:
                 worst_size = size
                 worst_pair = (u, v)

@@ -19,11 +19,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .criticality import is_fractional_id_factor_critical
+from .criticality import first_failing_set
 from .conditions import check_criticality_conditions
 from .errors import ConstructionError, InputError, ResourceLimitError
-from .factor import FactorParams, Infeasible, delta_st, find_fractional_factor
-from .graphs import Graph, complete_multipartite_graph
+from .factor import FactorParams, delta_st, has_fractional_factor
+from .graphs import Graph, complete_multipartite_graph, require_order
 
 KIND_NEIGHBORHOOD = "neighborhood-extremal"
 KIND_DEGREE = "degree-extremal"
@@ -123,6 +123,7 @@ def min_degree_extremal_graph(
     block3 = range(bt + at - 1, 2 * bt + at - 1)  # bt/2 disjoint edges
     u = 2 * bt + at - 1
     n = u + 1
+    require_order(n)
 
     edges: list[tuple[int, int]] = []
     blocks = (block1, block2, block3)
@@ -157,6 +158,7 @@ def random_graph(n: int, p: Fraction | float, seed: int) -> Graph:
     """
     if not isinstance(n, int) or n < 0:
         raise InputError(f"n must be a nonnegative integer, got {n!r}")
+    require_order(n)
     if isinstance(p, float):
         p = Fraction(p)
     if not 0 <= p <= 1:
@@ -260,15 +262,10 @@ def _check(name: str, passed: bool, required: bool, detail: str) -> SharpnessChe
 def _not_critical_check(g: Graph, params: FactorParams) -> SharpnessCheck | None:
     """The not-critical check, or None when g is above the criticality cap."""
     try:
-        crit = is_fractional_id_factor_critical(g, params)
+        failing, _ = first_failing_set(g, params)
     except ResourceLimitError:
         return None
-    return _check(
-        "not-critical",
-        crit.verdict is False,
-        True,
-        f"failing set {sorted(crit.failing_set or ())}",
-    )
+    return _check("not-critical", failing is not None, True, f"failing set {sorted(failing or ())}")
 
 
 def _verify_neighborhood_extremal(params: FactorParams, t: int) -> SharpnessReport:
@@ -324,7 +321,7 @@ def _verify_neighborhood_extremal(params: FactorParams, t: int) -> SharpnessRepo
         )
     )
 
-    infeasible = isinstance(find_fractional_factor(sub, params), Infeasible)
+    infeasible = not has_fractional_factor(sub, params)
     checks.append(
         _check("designated-deletion-infeasible", infeasible, True, "flow solver verdict")
     )
@@ -405,7 +402,7 @@ def _verify_degree_extremal(params: FactorParams, t: int) -> SharpnessReport:
         )
     )
 
-    infeasible = isinstance(find_fractional_factor(sub, params), Infeasible)
+    infeasible = not has_fractional_factor(sub, params)
     checks.append(
         _check("designated-deletion-infeasible", infeasible, True, "flow solver verdict")
     )

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ResourceLimitError
-from .factor import FactorParams, ViolationCertificate, find_fractional_factor
+from .factor import (
+    FactorParams,
+    ViolationCertificate,
+    augmenting_search,
+    find_fractional_factor,
+)
 from .graphs import Graph, mask_vertices
 
 DEFAULT_CRITICALITY_LIMIT = 20
@@ -115,28 +120,11 @@ class CriticalityReport:
 def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozenset[int], bool]]:
     """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of the independent sets.
 
-    The flow model is the double cover without lower bounds: s -> u+ with
-    capacity a, w- -> t with capacity b, and unit arcs u+ -> w- and w+ -> u-
-    for each edge uw. G - I has a fractional [a,b]-factor iff the max-flow on
-    the vertices outside I is a(n - |I|). (=>) Scale a factor's weights at
-    each u+ down to a; flow integrality does the rest. (<=) The cut
-    {s} + T+ + S- has capacity a(n - |T|) + b|S| + d_{G-S}(T), so a saturating
-    flow gives b|S| + d_{G-S}(T) - a|T| >= 0 for every S, the test in factor.py.
-
-    An integral flow is a b-matching: each left vertex u sends at most a
-    units, each to a different neighbour w on the right, and w takes at most
-    b. Bit w of used[u] and bit u of owners[w] mark the unit u -> w; bit w of
-    full marks a right vertex at load b; alive masks the vertices outside I.
-    A search from a left vertex u short of a is a BFS over alternating paths:
-    from a left x to its unused live neighbours, from a full right vertex to
-    its owners. It stops at a right vertex below b and flips the path, which
-    gives u one more unit and changes no other load on the left.
-
-    A failed search decides the set. Let X be what the residual graph reaches
-    from u+ without passing through s. t is not in X, and every arc leaving X
-    for a node other than s is saturated. An augmenting path never returns to
-    s, so none enters X, and none changes an arc leaving X. s -> u+ stays
-    unsaturated in every later flow, so the max-flow is below a(n - |I|).
+    Each G - I is the b-matching of factor.augmenting_search with I's
+    vertices masked out of alive: G - I has a fractional [a,b]-factor iff
+    every vertex outside I sends a units, and a failed search decides the
+    set infeasible (the proofs are in that function's docstring). The root
+    runs a searches per vertex, as has_fractional_factor does.
 
     A child is its parent plus one vertex v above the parent's maximum. It
     copies the parent's saturated b-matching and drops v's units in and out.
@@ -147,48 +135,10 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
     set is extended: the last failing set yielded is the first in (size, lex)
     order.
     """
-    n, a, b = g.n, params.a, params.b
+    n, a = g.n, params.a
     adj = g.adjacency_masks()
+    search = augmenting_search(adj, params.b)
     smallest_failure = n + 1
-
-    def search(u: int, used: list[int], owners: list[int], full: int, alive: int) -> int:
-        """Give u one more unit; return the new full mask, or -1 if no path exists."""
-        via: dict[int, int] = {}  # right w -> the left vertex the BFS reached it from
-        came: dict[int, int] = {}  # left y -> the full right vertex it would give up
-        seen_left, seen_right = 1 << u, 0
-        queue = [u]
-        for x in queue:
-            reach = adj[x] & alive & ~used[x] & ~seen_right
-            free = reach & ~full
-            if free:
-                w = (free & -free).bit_length() - 1
-                owners[w] |= 1 << x
-                if owners[w].bit_count() == b:
-                    full |= 1 << w
-                used[x] |= 1 << w
-                while x != u:  # x gives up the unit it was reached through
-                    w = came[x]
-                    used[x] ^= 1 << w
-                    owners[w] ^= 1 << x
-                    x = via[w]
-                    used[x] |= 1 << w
-                    owners[w] |= 1 << x
-                return full
-            seen_right |= reach
-            while reach:
-                low = reach & -reach
-                reach ^= low
-                w = low.bit_length() - 1
-                via[w] = x
-                fresh = owners[w] & ~seen_left
-                seen_left |= fresh
-                while fresh:
-                    low = fresh & -fresh
-                    fresh ^= low
-                    y = low.bit_length() - 1
-                    came[y] = w
-                    queue.append(y)
-        return -1
 
     def children(
         ind: list[int], forbidden: int, parent: tuple[list[int], list[int], int, int]
@@ -234,12 +184,11 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
         yield from children([], 0, (used, owners, full, alive))
 
 
-def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:
-    """Check every independent-set deletion and report the first failure in (size, lex) order.
+def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:
+    """The first independent set I in (size, lex) order with no factor on G - I, or None.
 
-    The verdicts come from deletion_verdicts; only the failing set is deleted,
-    for its certificate, and its 1-based index in enumerate_independent_sets
-    order is found by walking that order again.
+    Also returns how many sets deletion_verdicts decided. Raises
+    ResourceLimitError above the criticality cap.
     """
     if g.n > DEFAULT_CRITICALITY_LIMIT:
         raise ResourceLimitError(
@@ -251,6 +200,17 @@ def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> Critical
         decided += 1
         if not ok:
             failing = ind
+    return failing, decided
+
+
+def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:
+    """Check every independent-set deletion and report the first failure in (size, lex) order.
+
+    The failure comes from first_failing_set; only the failing set is
+    deleted, for its certificate, and its 1-based index in
+    enumerate_independent_sets order is found by walking that order again.
+    """
+    failing, decided = first_failing_set(g, params)
     if failing is None:
         return CriticalityReport(verdict=True, independent_sets_checked=decided)
     checked = next(i for i, ind in enumerate(enumerate_independent_sets(g), 1) if ind == failing)

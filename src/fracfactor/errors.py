@@ -6,7 +6,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An exponential-time routine was asked to exceed its configured cap."""
+    """A routine was asked to exceed a fixed cap: an exponential run or an input order."""
 
 
 class ConstructionError(RuntimeError):

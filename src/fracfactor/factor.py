@@ -9,10 +9,11 @@ by a degree-style test: G has one iff
 where T is the set of vertices outside S whose degree in G - S is at most a.
 A subset S breaking the inequality is a compact non-existence certificate.
 
-Two independent deciders live here. The subset scan applies the test
-verbatim (exponential, capped). The constructive solver translates the
-problem to a feasible-flow instance on the bipartite double cover of G and
-is polynomial at any order; an integral flow folds back to a half-integral
+Three independent procedures live here. The subset scan applies the test
+verbatim (exponential, capped) and yields certificates. The b-matching
+search of has_fractional_factor decides existence in polynomial time at any
+order. The constructive solver builds a witness from a feasible flow on the
+bipartite double cover of G; an integral flow folds back to a half-integral
 factor, so its witnesses only ever use the values 0, 1/2 and 1.
 
 All arithmetic is on exact integers and fractions. No floats.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Mapping, Union
+from typing import Callable, Literal, Mapping, Union
 
 from .errors import InputError, ResourceLimitError
 from .graphs import Edge, Graph, content_lines, mask_vertices
@@ -183,10 +184,94 @@ def has_fractional_factor_bruteforce(
     return ViolationCertificate(s=s_set, t=t_set, delta=delta)
 
 
+def augmenting_search(
+    adj: tuple[int, ...], b: int
+) -> Callable[[int, list[int], list[int], int, int], int]:
+    """The augmenting-path search of a b-matching on the graph with adjacency masks adj.
+
+    The flow model is the double cover without lower bounds: s -> u+ with
+    capacity a, w- -> t with capacity b, and unit arcs u+ -> w- and w+ -> u-
+    for each edge uw. G has a fractional [a,b]-factor iff the max-flow is a*n.
+    (=>) Scale a factor's weights at each u+ down to a; flow integrality does
+    the rest. (<=) The cut {s} + T+ + S- has capacity a(n - |T|) + b|S| +
+    d_{G-S}(T), so a saturating flow gives b|S| + d_{G-S}(T) - a|T| >= 0 for
+    every S, the test in this module's docstring.
+
+    An integral flow is a b-matching: each left vertex u sends at most a
+    units, each to a different neighbour w on the right, and w takes at most
+    b. Bit w of used[u] and bit u of owners[w] mark the unit u -> w; bit w of
+    full marks a right vertex at load b; alive masks the vertices taking part.
+    search(u, used, owners, full, alive) is a BFS from a left vertex u short
+    of a over alternating paths: from a left x to its unused live neighbours,
+    from a full right vertex to its owners. It stops at a right vertex below
+    b and flips the path, which gives u one more unit and changes no other
+    load on the left. It returns the new full mask, or -1 if no path exists.
+
+    A failed search decides the instance. Let X be what the residual graph
+    reaches from u+ without passing through s. t is not in X, and every arc
+    leaving X for a node other than s is saturated. An augmenting path never
+    returns to s, so none enters X, and none changes an arc leaving X.
+    s -> u+ stays unsaturated in every later flow, so the max-flow is below
+    a times the number of live vertices.
+    """
+
+    def search(u: int, used: list[int], owners: list[int], full: int, alive: int) -> int:
+        via: dict[int, int] = {}  # right w -> the left vertex the BFS reached it from
+        came: dict[int, int] = {}  # left y -> the full right vertex it would give up
+        seen_left, seen_right = 1 << u, 0
+        queue = [u]
+        for x in queue:
+            reach = adj[x] & alive & ~used[x] & ~seen_right
+            free = reach & ~full
+            if free:
+                w = (free & -free).bit_length() - 1
+                owners[w] |= 1 << x
+                if owners[w].bit_count() == b:
+                    full |= 1 << w
+                used[x] |= 1 << w
+                while x != u:  # x gives up the unit it was reached through
+                    w = came[x]
+                    used[x] ^= 1 << w
+                    owners[w] ^= 1 << x
+                    x = via[w]
+                    used[x] |= 1 << w
+                    owners[w] |= 1 << x
+                return full
+            seen_right |= reach
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                w = low.bit_length() - 1
+                via[w] = x
+                fresh = owners[w] & ~seen_left
+                seen_left |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    y = low.bit_length() - 1
+                    came[y] = w
+                    queue.append(y)
+        return -1
+
+    return search
+
+
+def has_fractional_factor(g: Graph, params: FactorParams) -> bool:
+    """Decide existence by saturating a b-matching, a searches per vertex."""
+    n = g.n
+    search = augmenting_search(g.adjacency_masks(), params.b)
+    used, owners, full, alive = [0] * n, [0] * n, 0, (1 << n) - 1
+    for u in [*range(n)] * params.a:
+        full = search(u, used, owners, full, alive)
+        if full < 0:
+            return False
+    return True
+
+
 def find_fractional_factor(
     g: Graph, params: FactorParams
 ) -> Union[FractionalAssignment, Infeasible]:
-    """Decide existence constructively via flow on the bipartite double cover.
+    """Decide with has_fractional_factor; build a witness by flow on the double cover.
 
     Each vertex v splits into v+ and v-; each edge uv becomes unit arcs
     u+ -> v- and v+ -> u-, and every v+ receives (and every v- emits)
@@ -199,20 +284,22 @@ def find_fractional_factor(
     n = g.n
     if n == 0:
         return FractionalAssignment({})
-    edges = g.edges()
-    flows = feasible_flow(*double_cover(n, edges, params))
-    if flows is None:
+    if not has_fractional_factor(g, params):
         certificate = None
         if n <= DEFAULT_BRUTE_FORCE_LIMIT:
             scan = has_fractional_factor_bruteforce(g, params)
             if scan is True:
                 raise RuntimeError(
-                    "flow solver and subset scan disagree on feasibility; "
+                    "b-matching search and subset scan disagree on feasibility; "
                     "this is a bug"
                 )
             certificate = scan
         return Infeasible(certificate=certificate)
 
+    edges = g.edges()
+    flows = feasible_flow(*double_cover(n, edges, params))
+    if flows is None:
+        raise RuntimeError("b-matching search and flow solver disagree; this is a bug")
     unit = flows[2 * n:]
     values = {e: Fraction(x + y, 2) for e, x, y in zip(edges, unit[::2], unit[1::2])}
     return FractionalAssignment(values)

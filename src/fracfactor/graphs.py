@@ -10,9 +10,17 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 Edge = tuple[int, int]
+
+MAX_ORDER = 1000
+
+
+def require_order(n: int) -> None:
+    """Refuse an order above MAX_ORDER, before anything of that size is built."""
+    if n > MAX_ORDER:
+        raise ResourceLimitError(f"order {n} exceeds the maximum of {MAX_ORDER} vertices")
 
 
 class Graph:
@@ -23,6 +31,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if not isinstance(n, int) or n < 0:
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
+        require_order(n)
         adj: list[set[int]] = [set() for _ in range(n)]
         seen: set[Edge] = set()
         for u, v in edges:
@@ -183,6 +192,7 @@ def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
     for s in sizes:
         bounds.append(bounds[-1] + s)
     n = bounds[-1]
+    require_order(n)
     edges = []
     for i in range(len(sizes)):
         for j in range(i + 1, len(sizes)):

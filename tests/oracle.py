@@ -50,7 +50,15 @@ def naive_violation(n: int, edges, a: int, b: int):
 
 
 def naive_has_factor(n: int, edges, a: int, b: int) -> bool:
-    return naive_violation(n, edges, a, b) is None
+    """True iff no subset S has a negative delta; stops at the first that does."""
+    adj = adjacency(n, edges)
+    for s in all_subsets(n):
+        s_set = set(s)
+        degrees = [len(adj[x] - s_set) for x in range(n) if x not in s_set]
+        # naive_delta's b|S| + d_{G-S}(T) - a|T|, with T the degrees <= a
+        if b * len(s_set) + sum(d - a for d in degrees if d <= a) < 0:
+            return False
+    return True
 
 
 def naive_independent_sets(n: int, edges) -> list[frozenset[int]]:

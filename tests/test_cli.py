@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -179,6 +180,23 @@ def test_gen_random_is_reproducible(tmp_path, capsys):
     assert main(["--seed", "8", "gen", "random", "-n", "8", "-p", "1/2", "-o", str(out3)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() != out3.read_bytes()
+
+
+def test_orders_above_the_maximum_exit_3(tmp_path, capsys, monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("random pairs drawn before the order check")
+
+    monkeypatch.setattr(constructions, "random", SimpleNamespace(Random=no_draws))
+    out = tmp_path / "g.txt"
+    assert main(["gen", "random", "-n", "1001", "-p", "1/2", "-o", str(out)]) == 3
+    for kind, a, b, t in (("neighborhood-extremal", 1, 1, 334), ("degree-extremal", 1, 2, 202)):
+        args = ["gen", kind, "-a", str(a), "-b", str(b), "-t", str(t), "-o", str(out)]
+        assert main(args) == 3
+    assert not out.exists()
+    graph = tmp_path / "big.txt"
+    graph.write_text("1001 0\n")
+    assert main(["check-factor", str(graph), "-a", "1", "-b", "1"]) == 3
+    assert "exceeds the maximum" in capsys.readouterr().err
 
 
 def test_gen_random_requires_n_and_p(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from fracfactor import (
@@ -15,6 +17,7 @@ from fracfactor import (
     order_condition_holds,
     order_threshold,
     path_graph,
+    random_graph,
 )
 
 P11 = FactorParams(1, 1)
@@ -72,6 +75,21 @@ def test_worst_pair_selection():
     report = check_criticality_conditions(path_graph(4), P11)
     assert report.worst_union_size == 2
     assert report.worst_pair == (0, 2)  # lexicographically first among ties
+
+
+def test_worst_pair_matches_a_scan_of_neighbor_sets():
+    for n in range(1, 16):
+        for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
+            g = random_graph(n, p, 10 * n + p.denominator)
+            report = check_criticality_conditions(g, P11)
+            pairs = [
+                (len(g.neighbors(u) | g.neighbors(v)), (u, v))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if v not in g.neighbors(u)
+            ]
+            size, pair = min(pairs, default=(None, None))  # lex-first among ties
+            assert (report.worst_union_size, report.worst_pair) == (size, pair), (n, p)
 
 
 def test_margins_are_exact_integers():

@@ -10,6 +10,7 @@ from fracfactor import (
     KIND_NEIGHBORHOOD,
     check_criticality_conditions,
     delta_st,
+    factor,
     find_fractional_factor,
     format_edge_list,
     is_fractional_id_factor_critical,
@@ -181,15 +182,31 @@ def test_random_graph_rejects_bad_probability():
 # -- sharpness audits ---------------------------------------------------------
 
 
+NEIGHBORHOOD_GRID = [(a, b, t) for a, b in [(1, 1), (1, 2), (2, 2), (2, 3)] for t in (1, 2)]
+DEGREE_GRID = [(1, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 2)]
+
+
 def test_verify_sharpness_passes_on_grid():
-    for a, b in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-        for t in (1, 2):
-            report = verify_sharpness(KIND_NEIGHBORHOOD, FactorParams(a, b), t)
-            assert report.required_ok
-            assert not report.criticality_skipped
-    for a, b, t in [(1, 1, 2), (1, 2, 2), (2, 2, 1), (2, 2, 2)]:
+    for a, b, t in NEIGHBORHOOD_GRID:
+        report = verify_sharpness(KIND_NEIGHBORHOOD, FactorParams(a, b), t)
+        assert report.required_ok
+        assert not report.criticality_skipped
+    for a, b, t in DEGREE_GRID:
         report = verify_sharpness(KIND_DEGREE, FactorParams(a, b), t)
         assert report.required_ok
+
+
+def test_verify_sharpness_runs_no_subset_scan(monkeypatch):
+    # its checks read verdicts and failing sets, never a certificate
+    def scan(*args):
+        raise AssertionError("verify_sharpness ran the subset scan")
+
+    monkeypatch.setattr(factor, "has_fractional_factor_bruteforce", scan)
+    for kind, grid in ((KIND_NEIGHBORHOOD, NEIGHBORHOOD_GRID), (KIND_DEGREE, DEGREE_GRID)):
+        for a, b, t in grid:
+            report = verify_sharpness(kind, FactorParams(a, b), t)
+            assert report.required_ok
+            assert "not-critical" in {c.name for c in report.checks}
 
 
 def test_verify_sharpness_skips_criticality_above_cap():

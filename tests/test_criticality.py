@@ -11,6 +11,7 @@ from fracfactor import (
     cycle_graph,
     empty_graph,
     enumerate_independent_sets,
+    first_failing_set,
     has_fractional_factor_bruteforce,
     is_fractional_id_factor_critical,
     maximal_independent_sets,
@@ -94,6 +95,7 @@ def test_c4_fails_on_first_singleton():
     assert report.verdict is False
     assert report.failing_set == frozenset({0})
     assert report.independent_sets_checked == 2
+    assert first_failing_set(cycle_graph(4), P11) == (frozenset({0}), 2)
 
 
 def test_smaller_failure_found_after_a_larger_one_wins():
@@ -223,6 +225,8 @@ def test_criticality_respects_cap():
         is_fractional_id_factor_critical(empty_graph(21), P11)
     with pytest.raises(ResourceLimitError):
         is_fractional_id_factor_critical(complete_graph(21), P11)
+    with pytest.raises(ResourceLimitError):
+        first_failing_set(complete_graph(21), P11)
 
 
 def test_report_serialization_shape():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -14,16 +15,19 @@ from fracfactor import (
     cycle_graph,
     delta_st,
     empty_graph,
+    factor,
     find_fractional_factor,
     format_assignment,
+    has_fractional_factor,
     has_fractional_factor_bruteforce,
     parse_assignment,
     path_graph,
+    random_graph,
     validate_assignment,
 )
 from fracfactor import Graph
 
-from oracle import naive_delta, naive_violation
+from oracle import naive_delta, naive_has_factor, naive_violation
 
 P11 = FactorParams(1, 1)
 
@@ -197,6 +201,56 @@ def test_solver_agrees_with_oracle_on_small_corpus():
                 check = validate_assignment(g, params, result)
                 assert check.ok
                 assert result.is_half_integral()
+
+
+ORACLE_PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+
+
+def oracle_verdicts(n: int) -> dict[int, dict[tuple[int, int], bool]]:
+    """naive_has_factor under ORACLE_PAIRS for every labeled graph on n vertices, by edge mask.
+
+    The verdict does not depend on labels, so the oracle runs once per
+    isomorphism class and its verdicts are copied to every relabelling.
+    """
+    slots = list(combinations(range(n), 2))
+    bit = {e: 1 << i for i, e in enumerate(slots)}
+    perms = list(permutations(range(n)))
+    verdicts: dict[int, dict[tuple[int, int], bool]] = {}
+    for mask in range(1 << len(slots)):
+        if mask in verdicts:
+            continue
+        edges = [e for e in slots if mask & bit[e]]
+        verdict = {(a, b): naive_has_factor(n, edges, a, b) for a, b in ORACLE_PAIRS}
+        for perm in perms:
+            verdicts[sum(bit[tuple(sorted((perm[u], perm[v])))] for u, v in edges)] = verdict
+    return verdicts
+
+
+def test_has_fractional_factor_matches_the_oracle_on_every_small_graph():
+    for n in range(7):
+        slots = list(combinations(range(n), 2))
+        verdicts = oracle_verdicts(n)
+        assert len(verdicts) == 1 << len(slots)
+        for mask, verdict in verdicts.items():
+            g = Graph(n, [slots[i] for i in range(len(slots)) if (mask >> i) & 1])
+            for a, b in ORACLE_PAIRS:
+                assert has_fractional_factor(g, FactorParams(a, b)) == verdict[(a, b)], (mask, a, b)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_has_fractional_factor_matches_the_oracle_on_random_graphs(n):
+    for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        g = random_graph(n, p, 100 * n + p.denominator)
+        for a, b in ORACLE_PAIRS:
+            assert has_fractional_factor(g, FactorParams(a, b)) == naive_has_factor(
+                n, g.edges(), a, b
+            ), (n, p, a, b)
+
+
+def test_witness_flow_that_contradicts_the_search_is_a_bug(monkeypatch):
+    monkeypatch.setattr(factor, "feasible_flow", lambda *args: None)
+    with pytest.raises(RuntimeError, match="disagree"):
+        find_fractional_factor(cycle_graph(4), P11)
 
 
 def test_solver_witness_sums_and_range():

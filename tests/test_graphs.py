@@ -1,8 +1,10 @@
 import pytest
 
 from fracfactor import (
+    MAX_ORDER,
     Graph,
     InputError,
+    ResourceLimitError,
     complete_multipartite_graph,
     cycle_graph,
     empty_graph,
@@ -30,6 +32,16 @@ def test_edges_are_a_fresh_list_each_call():
     second = g.edges()
     assert second == [(0, 1), (1, 2), (2, 3)]
     assert second is not g.edges()
+
+
+def test_orders_above_the_maximum_are_refused():
+    assert Graph(MAX_ORDER).n == 1000
+    with pytest.raises(ResourceLimitError):
+        Graph(MAX_ORDER + 1)
+    with pytest.raises(ResourceLimitError):
+        parse_edge_list("1001 0\n")
+    with pytest.raises(ResourceLimitError):
+        complete_multipartite_graph((500, 501))
 
 
 def test_construction_rejects_bad_edges():
