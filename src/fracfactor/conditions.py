@@ -212,13 +212,14 @@ def check_deletion_invariants(
     size_margin = b * g.n - (a + 2 * b) * len(x)
     size_ok = size_margin >= 0
 
-    sub, _ = g.delete_vertices(x)
-    if sub.n == 0:
+    x_mask = sum(1 << v for v in x)
+    kept = [m for v, m in enumerate(g.adjacency_masks()) if not (x_mask >> v) & 1]
+    if not kept:
         deleted_min_degree = None
         degree_ok = False
         degree_margin = None
     else:
-        deleted_min_degree = sub.min_degree()
+        deleted_min_degree = min((m & ~x_mask).bit_count() for m in kept)
         degree_margin = deleted_min_degree - a
         degree_ok = degree_margin >= 0
     return DeletionCheck(

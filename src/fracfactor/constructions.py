@@ -15,6 +15,7 @@ the CLI can refer to "the btK1 part" instead of raw index ranges.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -163,12 +164,16 @@ def random_graph(n: int, p: Fraction | float, seed: int) -> Graph:
         p = Fraction(p)
     if not 0 <= p <= 1:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
+    # random() returns k / 2^53 for an integer k, so random() < p holds exactly
+    # when k < ceil(p * 2^53), that is when random() < ceil(p * 2^53) / 2^53,
+    # a float the division leaves exact: the same graph, with no Fraction per pair.
+    cut = math.ceil(p * 2**53) / 2**53
     rng = random.Random(seed)
     edges = [
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if rng.random() < p
+        if rng.random() < cut
     ]
     return Graph(n, edges)
 

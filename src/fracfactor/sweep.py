@@ -6,6 +6,10 @@ satisfies all three conditions it demands criticality and audits the two
 derived deletion invariants on every maximal independent set. Any failure is
 recorded as a counterexample with enough data to replay it.
 
+Of the labeled graphs, only those that meet the order and minimum-degree
+conditions are built and checked; the rest cannot pass, so they are counted
+in graphs_examined without being built.
+
 Sweeps are deterministic: random graphs get per-instance seeds derived by
 hashing the base seed with the instance coordinates, and results are
 aggregated in a canonical order.
@@ -20,7 +24,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
-from .conditions import check_criticality_conditions, check_deletion_invariants
+from .conditions import (
+    check_criticality_conditions,
+    check_deletion_invariants,
+    degree_condition_holds,
+    order_condition_holds,
+)
 from .criticality import (
     DEFAULT_CRITICALITY_LIMIT,
     is_fractional_id_factor_critical,
@@ -31,8 +40,10 @@ from .errors import InputError, ResourceLimitError
 from .factor import FactorParams
 from .graphs import Graph
 
-# Labeled graphs on up to 7 vertices: 2,131,019 of them, about 81 s for one pair
-# (CPython 3.11 on a 2-core Xeon). Order 8 alone adds 2^28.
+# Labeled graphs on up to 7 vertices: 2,131,019 of them. Only (1, 1) meets the
+# order bound below n = 8; its sweep builds the 17,681 that meet the degree
+# bound too, and takes about 7 s (CPython 3.11 on a 2-core Xeon), 2.6 s of it
+# picking their masks. Order 8 alone adds 2^28 masks.
 EXHAUSTIVE_ORDER_LIMIT = 7
 
 
@@ -198,14 +209,47 @@ class SweepResult:
         }
 
 
-def _ensemble(config: SweepConfig) -> Iterator[tuple[str, Graph]]:
-    """All (source tag, graph) instances of the configured ensemble."""
+def _degree_floor(n: int, params: FactorParams) -> int | None:
+    """The least minimum degree that meets the degree condition at order n.
+
+    None when no graph of order n can pass: the order condition fails, or no
+    degree below n meets the degree condition.
+    """
+    if not order_condition_holds(n, params):
+        return None
+    return next((d for d in range(n) if degree_condition_holds(n, d, params)), None)
+
+
+def _ensemble_size(config: SweepConfig) -> int:
+    """Number of (source tag, graph) instances in the configured ensemble."""
+    size = len(config.random_orders) * len(config.random_probabilities) * config.random_samples
+    if config.exhaustive_max_n is not None:
+        size += sum(1 << (n * (n - 1) // 2) for n in range(1, config.exhaustive_max_n + 1))
+    return size
+
+
+def _ensemble(config: SweepConfig, params: FactorParams) -> Iterator[tuple[str, Graph]]:
+    """The (source tag, graph) instances of the ensemble that can pass under params.
+
+    Exhaustive orders yield, in increasing edge-mask order, only the labeled
+    graphs that meet the order and minimum-degree conditions; every other
+    labeled graph fails check_criticality_conditions, so none is built.
+    Random graphs are all yielded.
+    """
     if config.exhaustive_max_n is not None:
         for n in range(1, config.exhaustive_max_n + 1):
+            floor = _degree_floor(n, params)
+            if floor is None:
+                continue
             slots = list(combinations(range(n), 2))
+            # incidence[v]: the edge-mask bits of the slots at vertex v
+            incidence = [
+                sum(1 << i for i, slot in enumerate(slots) if v in slot) for v in range(n)
+            ]
             for mask in range(1 << len(slots)):
-                edges = [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
-                yield f"exhaustive/n={n}/mask={mask}", Graph(n, edges)
+                if all((mask & inc).bit_count() >= floor for inc in incidence):
+                    edges = [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
+                    yield f"exhaustive/n={n}/mask={mask}", Graph(n, edges)
     for n in config.random_orders:
         for p in config.random_probabilities:
             for i in range(config.random_samples):
@@ -221,9 +265,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     summaries = []
     for a, b in sorted(set(config.pairs)):
         params = FactorParams(a, b)
-        summary = PairSummary(a=a, b=b)
-        for source, g in _ensemble(config):
-            summary.graphs_examined += 1
+        summary = PairSummary(a=a, b=b, graphs_examined=_ensemble_size(config))
+        for source, g in _ensemble(config, params):
             report = check_criticality_conditions(g, params)
             if not report.all_ok:
                 continue

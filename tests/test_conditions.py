@@ -13,6 +13,7 @@ from fracfactor import (
     degree_condition_holds,
     empty_graph,
     k_factor_thresholds,
+    maximal_independent_sets,
     neighborhood_condition_holds,
     order_condition_holds,
     order_threshold,
@@ -167,3 +168,20 @@ def test_deletion_invariants_take_the_callers_condition_report():
     failing = check_criticality_conditions(cycle_graph(6), P11)
     with pytest.raises(InputError, match="conditions"):
         check_deletion_invariants(cycle_graph(6), P11, {0}, failing)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 2)])
+def test_deletion_invariants_read_the_min_degree_of_g_minus_x(a, b):
+    params = FactorParams(a, b)
+    audited = 0
+    for n in (8, 12, 16):
+        for seed in range(15):
+            g = random_graph(n, Fraction(9, 10), seed)
+            report = check_criticality_conditions(g, params)
+            if not report.all_ok:
+                continue
+            for x in maximal_independent_sets(g):
+                audit = check_deletion_invariants(g, params, x, report)
+                assert audit.deleted_min_degree == g.delete_vertices(x)[0].min_degree()
+                audited += 1
+    assert audited >= 20

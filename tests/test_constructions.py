@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,31 @@ def test_random_graph_extremes():
     assert random_graph(6, 0, seed=3).m == 0
     assert random_graph(6, 1, seed=3).m == 15
     assert random_graph(0, Fraction(1, 2), seed=3).n == 0
+
+
+def _reference_random_edges(n, p, seed):
+    """G(n, p) as a plain comparison of each draw with p."""
+    rng = random.Random(seed)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def test_random_graph_matches_a_draw_by_draw_comparison():
+    # k / 2^53 is the first draw of seed 0 itself, so that p and the
+    # p +- 2^-80 beside it put the cut exactly on, just above and just below a draw
+    k = int(random.Random(0).random() * 2**53)
+    on_draw = Fraction(k, 2**53)
+    probabilities = [
+        Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(2, 7),
+        Fraction(1, 2**60), on_draw, on_draw + Fraction(1, 2**80),
+        on_draw - Fraction(1, 2**80), 0.1, 1 / 3,
+    ]
+    for n in (0, 1, 2, 7, 25):
+        for p in probabilities:
+            for seed in (0, 1, 20261018):
+                expected = _reference_random_edges(n, p, seed)
+                assert random_graph(n, p, seed).edges() == expected, (n, p, seed)
+    assert random_graph(2, on_draw, 0).m == 0
+    assert random_graph(2, on_draw + Fraction(1, 2**80), 0).m == 1
 
 
 def test_random_graph_rejects_bad_probability():

@@ -5,10 +5,12 @@ from fracfactor import (
     Graph,
     InputError,
     ResourceLimitError,
+    complete_graph,
     complete_multipartite_graph,
     cycle_graph,
     empty_graph,
     format_edge_list,
+    graphs,
     parse_edge_list,
     path_graph,
 )
@@ -42,6 +44,16 @@ def test_orders_above_the_maximum_are_refused():
         parse_edge_list("1001 0\n")
     with pytest.raises(ResourceLimitError):
         complete_multipartite_graph((500, 501))
+
+
+@pytest.mark.parametrize("family", [complete_graph, path_graph, cycle_graph])
+def test_families_check_the_order_before_listing_edges(monkeypatch, family):
+    def never_built(n, edges=()):
+        raise AssertionError(f"Graph({n}, ...) was called with its edges listed")
+
+    monkeypatch.setattr(graphs, "Graph", never_built)
+    with pytest.raises(ResourceLimitError):
+        family(MAX_ORDER + 1)
 
 
 def test_construction_rejects_bad_edges():

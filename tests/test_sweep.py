@@ -1,13 +1,19 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from fracfactor import (
+    FactorParams,
+    Graph,
     InputError,
     ResourceLimitError,
     SweepConfig,
+    check_criticality_conditions,
     constructions,
     conditions,
+    degree_condition_holds,
+    order_condition_holds,
     parse_sweep_config,
     run_sweep,
     sweep,
@@ -142,17 +148,68 @@ def test_sweep_summaries_sorted_by_pair():
     assert [(s.a, s.b) for s in result.summaries] == [(1, 1), (1, 2)]
 
 
+def labeled_graphs(max_n):
+    """(source tag, graph) for every labeled graph with 1 <= n <= max_n, in mask order."""
+    for n in range(1, max_n + 1):
+        slots = list(combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            edges = [slot for i, slot in enumerate(slots) if (mask >> i) & 1]
+            yield f"exhaustive/n={n}/mask={mask}", Graph(n, edges)
+
+
+def meets_order_and_degree(g, params):
+    degrees = [0] * g.n
+    for u, v in g.edges():
+        degrees[u] += 1
+        degrees[v] += 1
+    return order_condition_holds(g.n, params) and degree_condition_holds(
+        g.n, min(degrees), params
+    )
+
+
 def test_conditions_are_checked_once_per_graph_and_pair(monkeypatch):
     # counted under both names, so a recomputation inside check_deletion_invariants shows
     check, calls = sweep.check_criticality_conditions, []
 
     def counted(g, params):
-        calls.append((g, params))
+        calls.append((g, params.a, params.b))
         return check(g, params)
 
     monkeypatch.setattr(sweep, "check_criticality_conditions", counted)
     monkeypatch.setattr(conditions, "check_criticality_conditions", counted)
-    result = run_sweep(SweepConfig(pairs=((1, 1), (1, 2)), exhaustive_max_n=5))
-    examined = sum(s.graphs_examined for s in result.summaries)
+    pairs = ((1, 1), (1, 2))
+    result = run_sweep(SweepConfig(pairs=pairs, exhaustive_max_n=5))
     assert sum(s.invariant_checks for s in result.summaries) > 0
-    assert len(calls) == examined == 2 * (1 + 2 + 8 + 64 + 1024)
+    assert len(set(calls)) == len(calls)
+    # only the labeled graphs that can meet the order and degree bounds are checked
+    candidates = sum(
+        meets_order_and_degree(g, FactorParams(a, b))
+        for a, b in pairs
+        for _, g in labeled_graphs(5)
+    )
+    assert len(calls) == candidates == 1 + 26
+    assert [s.graphs_examined for s in result.summaries] == [1 + 2 + 8 + 64 + 1024] * 2
+
+
+@pytest.mark.parametrize("pair, max_n", [((1, 1), 6), ((1, 2), 5), ((2, 2), 5), ((1, 3), 5)])
+def test_exhaustive_sweep_matches_a_check_of_every_labeled_graph(monkeypatch, pair, max_n):
+    params = FactorParams(*pair)
+    expected = [
+        source
+        for source, g in labeled_graphs(max_n)
+        if check_criticality_conditions(g, params).all_ok
+    ]
+
+    # every passing graph reported as a criticality counterexample, tagged by its source
+    class NotCritical:
+        verdict = False
+
+        def to_dict(self):
+            return {}
+
+    monkeypatch.setattr(sweep, "is_fractional_id_factor_critical", lambda g, p: NotCritical())
+    (summary,) = run_sweep(SweepConfig(pairs=(pair,), exhaustive_max_n=max_n)).summaries
+    found = [c.source for c in summary.counterexamples if c.kind == "criticality"]
+    assert found == expected
+    assert summary.condition_passing == len(expected)
+    assert summary.graphs_examined == sum(1 for _ in labeled_graphs(max_n))
