@@ -143,13 +143,12 @@ class KFactorThresholds:
 def k_factor_thresholds(k: int) -> KFactorThresholds:
     """Thresholds for fractional k-factors (a = b = k).
 
-    min_order is the least n with k*n >= 3k(4k-3) + 1, which simplifies to
-    12k - 8.
+    min_order is the least n with k*n >= order_threshold(FactorParams(k, k)),
+    which simplifies to 12k - 8.
     """
     if not isinstance(k, int) or k < 1:
         raise InputError(f"k must be a positive integer, got {k!r}")
-    numerator = 3 * k * (4 * k - 3) + 1
-    min_order = -(-numerator // k)
+    min_order = -(-order_threshold(FactorParams(k, k)) // k)
     return KFactorThresholds(k=k, min_order=min_order)
 
 

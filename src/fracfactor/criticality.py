@@ -54,16 +54,14 @@ def enumerate_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
 
 
 def maximal_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
-    """Independent sets no vertex can extend, in the same global order."""
+    """Independent sets that cover every vertex with their neighbours, in the same global order."""
     masks = g.adjacency_masks()
+    everything = (1 << g.n) - 1
     for ind in enumerate_independent_sets(g):
-        ind_mask = 0
+        covered = 0
         for v in ind:
-            ind_mask |= 1 << v
-        extendable = any(
-            not (ind_mask >> v) & 1 and not masks[v] & ind_mask for v in range(g.n)
-        )
-        if not extendable:
+            covered |= masks[v] | 1 << v
+        if covered == everything:
             yield ind
 
 
@@ -187,33 +185,36 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
 def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:
     """The first independent set I in (size, lex) order with no factor on G - I, or None.
 
-    Also returns how many sets deletion_verdicts decided. Raises
-    ResourceLimitError above the criticality cap.
+    Also returns I's 1-based index in enumerate_independent_sets order, or
+    the number of independent sets when none fails. deletion_verdicts decides
+    every set smaller than I and every set of I's size up to I, and no other
+    set of I's size or more, so the index is the number of sets it yields of
+    size at most |I|. Raises ResourceLimitError above the criticality cap.
     """
     if g.n > DEFAULT_CRITICALITY_LIMIT:
         raise ResourceLimitError(
             f"criticality check over {g.n} vertices exceeds the cap of "
             f"{DEFAULT_CRITICALITY_LIMIT}"
         )
-    failing, decided = None, 0
+    failing, by_size = None, [0] * (g.n + 1)
     for ind, ok in deletion_verdicts(g, params):
-        decided += 1
+        by_size[len(ind)] += 1
         if not ok:
             failing = ind
-    return failing, decided
+    if failing is None:
+        return None, sum(by_size)
+    return failing, sum(by_size[: len(failing) + 1])
 
 
 def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:
     """Check every independent-set deletion and report the first failure in (size, lex) order.
 
-    The failure comes from first_failing_set; only the failing set is
-    deleted, for its certificate, and its 1-based index in
-    enumerate_independent_sets order is found by walking that order again.
+    The failure and its index come from first_failing_set; only the failing
+    set is deleted, for its certificate.
     """
-    failing, decided = first_failing_set(g, params)
+    failing, checked = first_failing_set(g, params)
     if failing is None:
-        return CriticalityReport(verdict=True, independent_sets_checked=decided)
-    checked = next(i for i, ind in enumerate(enumerate_independent_sets(g), 1) if ind == failing)
+        return CriticalityReport(verdict=True, independent_sets_checked=checked)
     sub, remap = g.delete_vertices(failing)
     result = find_fractional_factor(sub, params)
     if result:

@@ -119,12 +119,14 @@ class AssignmentCheck:
 def delta_st(g: Graph, params: FactorParams, s: object) -> tuple[frozenset[int], int]:
     """Evaluate the existence test at S: returns (T, b|S| + d_{G-S}(T) - a|T|)."""
     s_set = g.vertex_subset(s)
+    s_mask = sum(1 << v for v in s_set)
+    masks = g.adjacency_masks()
     t = []
     degree_sum = 0
     for x in range(g.n):
-        if x in s_set:
+        if (s_mask >> x) & 1:
             continue
-        dx = len(g.neighbors(x) - s_set)
+        dx = (masks[x] & ~s_mask).bit_count()
         if dx <= params.a:
             t.append(x)
             degree_sum += dx

@@ -24,66 +24,61 @@ def require_order(n: int) -> None:
 
 
 class Graph:
-    """A finite simple undirected graph."""
+    """A finite simple undirected graph, held as one neighbour bitmask per vertex."""
 
-    __slots__ = ("n", "_adj", "_masks", "_edges")
+    __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if not isinstance(n, int) or n < 0:
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
         require_order(n)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        seen: set[Edge] = set()
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise InputError(f"loop at vertex {u} is not allowed")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise InputError(f"duplicate edge ({e[0]}, {e[1]})")
-            seen.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+            if (masks[u] >> v) & 1:
+                raise InputError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
-        self._masks: tuple[int, ...] | None = None
-        self._edges: tuple[Edge, ...] | None = None
+        self._masks: tuple[int, ...] = tuple(masks)
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def m(self) -> int:
-        return sum(len(s) for s in self._adj) // 2
+        return sum(mask.bit_count() for mask in self._masks) // 2
 
     def edges(self) -> list[Edge]:
-        """All edges as (u, v) pairs with u < v, sorted; built once, a new list per call."""
-        if self._edges is None:
-            self._edges = tuple(
-                sorted((u, v) for u in range(self.n) for v in self._adj[u] if u < v)
-            )
-        return list(self._edges)
+        """All edges as (u, v) pairs with u < v, sorted."""
+        return [
+            (u, v)
+            for u, mask in enumerate(self._masks)
+            for v in mask_vertices(mask >> (u + 1) << (u + 1))
+        ]
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._adj[u]
+        return bool((self._masks[u] >> v) & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
         self._check_vertex(v)
-        return self._adj[v]
+        return frozenset(mask_vertices(self._masks[v]))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [len(s) for s in self._adj]
+        return [mask.bit_count() for mask in self._masks]
 
     def min_degree(self) -> int:
         if self.n == 0:
             raise InputError("minimum degree is undefined for a graph with no vertices")
-        return min(len(s) for s in self._adj)
+        return min(self.degrees())
 
     def neighborhood_union(self, u: int, v: int) -> frozenset[int]:
         """N(u) | N(v) for two distinct vertices."""
@@ -91,23 +86,16 @@ class Graph:
         self._check_vertex(v)
         if u == v:
             raise InputError("neighborhood union takes two distinct vertices")
-        return self._adj[u] | self._adj[v]
+        return frozenset(mask_vertices(self._masks[u] | self._masks[v]))
 
     def is_independent(self, vs: Iterable[int]) -> bool:
         """True when no two vertices of vs are adjacent."""
         s = self.vertex_subset(vs)
-        return all(not (self._adj[v] & s) for v in s)
+        s_mask = sum(1 << v for v in s)
+        return all(not self._masks[v] & s_mask for v in s)
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighbor sets as bitmasks; computed once and cached."""
-        if self._masks is None:
-            masks = []
-            for s in self._adj:
-                m = 0
-                for v in s:
-                    m |= 1 << v
-                masks.append(m)
-            self._masks = tuple(masks)
+        """Neighbor sets as bitmasks: bit v of entry u is set when uv is an edge."""
         return self._masks
 
     def vertex_subset(self, vs: Iterable[int]) -> frozenset[int]:
@@ -140,10 +128,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self._adj == other._adj
+        return self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self._adj))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

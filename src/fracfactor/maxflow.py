@@ -37,9 +37,6 @@ class Dinic:
         self.head[v].append(eid + 1)
         return eid
 
-    def flow_on(self, eid: int) -> int:
-        return self.cap[eid ^ 1]
-
     def _levels(self, s: int, t: int) -> list[int] | None:
         level = [-1] * self.n
         level[s] = 0

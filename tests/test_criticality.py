@@ -112,6 +112,32 @@ def test_smaller_failure_in_a_later_subtree_wins():
     assert report.failing_set == frozenset({1})
 
 
+SEVEN = Graph(
+    7,
+    [(0, 2), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6), (2, 3)]
+    + [(2, 5), (2, 6), (3, 4), (4, 5), (4, 6), (5, 6)],
+)
+
+
+@pytest.mark.parametrize(
+    "g, params",
+    [(SEVEN, P11), (SEVEN, FactorParams(1, 2))]
+    + [(path_graph(n), FactorParams(1, 2)) for n in range(3, 8)],
+    ids=["seven-1-1", "seven-1-2"] + [f"path{n}-1-2" for n in range(3, 8)],
+)
+def test_first_failing_set_counts_the_failures_index(g, params):
+    # The DFS decides sets larger than the failure before it, and smaller ones after
+    # it; neither may move the failure's (size, lex) index.
+    failing, index = first_failing_set(g, params)
+    assert index == is_fractional_id_factor_critical(g, params).independent_sets_checked
+    assert list(enumerate_independent_sets(g)).index(failing) + 1 == index
+    verdicts = list(deletion_verdicts(g, params))
+    assert len(verdicts) != index
+    if g is SEVEN:
+        at = verdicts.index((failing, False))
+        assert any(len(ind) < len(failing) for ind, _ in verdicts[at + 1 :])
+
+
 def assert_verdicts_match_the_oracle(g, params, verdicts):
     for ind, ok in verdicts:
         sub = naive_deletion(g.n, g.edges(), ind)

@@ -1,4 +1,8 @@
-"""Every name a fracfactor module imports is used there (stdlib ast, no linter)."""
+"""Import rules checked with stdlib ast, no linter.
+
+Every name a fracfactor module imports is used there, and the reference
+oracle imports nothing from fracfactor.
+"""
 
 import ast
 from pathlib import Path
@@ -8,6 +12,7 @@ import pytest
 import fracfactor
 
 MODULES = sorted(Path(fracfactor.__file__).parent.glob("*.py"))
+ORACLE = Path(__file__).with_name("oracle.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +52,41 @@ def test_unused_imports_are_found():
     )
     assert unused_imports(source) == ["line 3: Dinic", "line 2: os"]
     assert len(MODULES) >= 10
+
+
+def library_imports(source: str) -> list[str]:
+    """Modules of the fracfactor package that source imports, absolutely or relatively."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if node.level or module.split(".")[0] == "fracfactor":
+                found.append(f"line {node.lineno}: {module}")
+        elif isinstance(node, ast.Import):
+            found += [
+                f"line {node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name.split(".")[0] == "fracfactor"
+            ]
+    return found
+
+
+def test_oracle_shares_no_code_with_the_library():
+    assert library_imports(ORACLE.read_text(encoding="utf-8")) == []
+
+
+def test_library_imports_are_found():
+    source = (
+        "import itertools\n"
+        "import fracfactor.graphs as fg\n"
+        "from fracfactor import Graph\n"
+        "from .factor import delta_st\n"
+        "def f():\n"
+        "    from fracfactor.criticality import deletion_verdicts\n"
+    )
+    assert library_imports(source) == [
+        "line 2: fracfactor.graphs",
+        "line 3: fracfactor",
+        "line 4: .factor",
+        "line 6: fracfactor.criticality",
+    ]

@@ -7,9 +7,9 @@ from fracfactor.maxflow import Dinic, feasible_flow
 
 def test_single_edge():
     net = Dinic(2)
-    eid = net.add_edge(0, 1, 5)
+    net.add_edge(0, 1, 5)
     assert net.max_flow(0, 1) == 5
-    assert net.flow_on(eid) == 5
+    assert feasible_flow(2, [(0, 1, 5, 5)], 0, 1) == [5]
 
 
 def test_series_bottleneck():
@@ -47,18 +47,15 @@ def test_disconnected_gives_zero():
 
 
 def test_flows_are_integral_and_conserve():
+    arcs = [(0, 1, 0, 3), (0, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 2), (1, 2, 0, 1), (3, 4, 0, 5)]
     net = Dinic(5)
-    eids = [
-        net.add_edge(0, 1, 3),
-        net.add_edge(0, 2, 3),
-        net.add_edge(1, 3, 2),
-        net.add_edge(2, 3, 2),
-        net.add_edge(1, 2, 1),
-        net.add_edge(3, 4, 5),
-    ]
+    for u, v, _, up in arcs:
+        net.add_edge(u, v, up)
     total = net.max_flow(0, 4)
     assert total == 4
-    flows = [net.flow_on(e) for e in eids]
+    # a lower bound of the max flow on the last arc makes feasible_flow route all of it
+    flows = feasible_flow(5, arcs[:-1] + [(3, 4, total, 5)], 0, 4)
+    assert flows is not None
     assert all(isinstance(f, int) and f >= 0 for f in flows)
     # conservation at nodes 1, 2, 3
     assert flows[0] == flows[2] + flows[4]

@@ -19,7 +19,13 @@ from fracfactor import (
 
 from fracfactor.criticality import deletion_verdicts
 
-from oracle import naive_deletion, naive_has_factor, naive_independent_sets, naive_violation
+from oracle import (
+    adjacency,
+    naive_deletion,
+    naive_has_factor,
+    naive_independent_sets,
+    naive_violation,
+)
 
 
 @st.composite
@@ -41,6 +47,37 @@ def params(draw, max_b=3):
 @given(graphs())
 def test_degree_sum_is_twice_edge_count(g):
     assert sum(g.degrees()) == 2 * g.m
+
+
+@st.composite
+def edge_lists(draw, max_n=8):
+    """(n, edges): a random simple graph's edges in random order, each pair either way round."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = draw(st.permutations(list(combinations(range(n), 2))))
+    pairs = pairs[: draw(st.integers(min_value=0, max_value=len(pairs)))]
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+
+
+@given(edge_lists(), st.data())
+def test_graph_queries_match_a_set_model(case, data):
+    n, edges = case
+    g = Graph(n, edges)
+    adj = adjacency(n, edges)
+    assert g.edges() == sorted((min(e), max(e)) for e in edges)
+    assert g.m == len(edges)
+    assert g.degrees() == [len(adj[v]) for v in range(n)]
+    for u in range(n):
+        assert g.neighbors(u) == frozenset(adj[u])
+        for v in range(u + 1, n):
+            assert g.has_edge(u, v) == (v in adj[u])
+            assert g.neighborhood_union(u, v) == frozenset(adj[u] | adj[v])
+    vs = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1))) if n else set()
+    assert g.is_independent(vs) == all(v not in adj[u] for u in vs for v in vs)
+    same = Graph(n, [(v, u) for u, v in data.draw(st.permutations(edges))])
+    assert same == g and hash(same) == hash(g)
+    if edges:
+        assert Graph(n, edges[1:]) != g
 
 
 @given(graphs(), st.data())
