@@ -87,21 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {
+        "check-factor": _cmd_check_factor,
+        "check-critical": _cmd_check_critical,
+        "check-hypotheses": _cmd_check_hypotheses,
+        "verify-theorem": _cmd_verify_theorem,
+        "gen": _cmd_gen,
+    }
     try:
-        if args.command == "check-factor":
-            return _cmd_check_factor(args)
-        if args.command == "check-critical":
-            return _cmd_check_critical(args)
-        if args.command == "check-hypotheses":
-            return _cmd_check_hypotheses(args)
-        if args.command == "verify-theorem":
-            return _cmd_verify_theorem(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        parser.error(f"unknown command {args.command!r}")
-    except InputError as exc:
+        return commands[args.command](args)
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
@@ -110,10 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 def _read_text(path: str) -> str:

@@ -242,189 +242,113 @@ class SharpnessReport:
 def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport:
     """Regenerate an extremal instance and audit every claim made about it.
 
-    The not-critical check runs only when the criticality check accepts the
-    order; otherwise the report is marked criticality_skipped.
+    Both families share the audit: the order formula, the family's own
+    claims, infeasibility after deleting the btK1 part, the conditions the
+    instance happens to meet, and last the not-critical check. That check
+    runs only when the criticality check accepts the order; otherwise the
+    report is marked criticality_skipped.
     """
+    a, b = params.a, params.b
     if kind == KIND_NEIGHBORHOOD:
-        report = _verify_neighborhood_extremal(params, t)
+        g, labels = neighborhood_extremal_graph(params, t)
+        want_n = (a + 2 * b) * t + 1
     elif kind == KIND_DEGREE:
-        report = _verify_degree_extremal(params, t)
+        g, labels = min_degree_extremal_graph(params, t)
+        want_n = (a + 2 * b) * t
     else:
         raise InputError(f"unknown construction kind {kind!r}")
-    if not report.required_ok:
-        failed = [c.name for c in report.checks if c.required and not c.passed]
-        raise ConstructionError(
-            f"{kind} (a={params.a}, b={params.b}, t={t}) failed required "
-            f"checks: {', '.join(failed)}"
+    n = g.n
+    cond = check_criticality_conditions(g, params)
+    sub, remap = g.delete_vertices(labels.part_map["btK1"])
+    checks = [_check("order-formula", n == want_n, True, f"n = {n}")]
+    if kind == KIND_NEIGHBORHOOD:
+        bt1_part = labels.part_map["bt1K1"]
+        want_union = (a + b) * t
+        u_size = cond.worst_union_size or 0
+        s_in_sub = frozenset(remap[v] for v in labels.part_map["atK1"])
+        t_got, delta = delta_st(sub, params, s_in_sub)
+        checks += [
+            _check(
+                "worst-pair-union",
+                cond.worst_union_size == want_union
+                and cond.worst_pair is not None
+                and set(cond.worst_pair) <= bt1_part,
+                True,
+                f"min union {cond.worst_union_size} at {cond.worst_pair}, expected {want_union} inside the largest part",
+            ),
+            _check(
+                "neighborhood-margin-window",
+                (a + 2 * b) * u_size < (a + b) * n < (a + 2 * b) * (u_size + 1),
+                True,
+                f"(a+2b)*{u_size} < (a+b)*{n} < (a+2b)*{u_size + 1}",
+            ),
+            _check(
+                "designated-deletion-delta",
+                delta == -a and t_got == frozenset(remap[v] for v in bt1_part),
+                True,
+                f"delta = {delta}, expected {-a}",
+            ),
+        ]
+    else:
+        (u_vertex,) = labels.part_map["u"]
+        want_delta = b * t + a - 1
+        stranded = sub.degree(remap[u_vertex])
+        checks += [
+            _check(
+                "min-degree-value",
+                g.min_degree() == want_delta and g.degree(u_vertex) == want_delta,
+                True,
+                f"min degree {g.min_degree()}, expected {want_delta} at the extra vertex",
+            ),
+            _check(
+                "degree-one-below-bound",
+                cond.min_degree_margin == -(a + 2 * b),
+                True,
+                f"scaled margin {cond.min_degree_margin}, expected {-(a + 2 * b)}",
+            ),
+            _check(
+                "neighborhood-condition-holds",
+                cond.neighborhood_ok,
+                True,
+                f"margin {cond.neighborhood_margin}",
+            ),
+            _check(
+                "designated-deletion-degree",
+                stranded == a - 1 and sub.min_degree() == a - 1,
+                True,
+                f"stranded degree {stranded}, expected {a - 1}",
+            ),
+        ]
+
+    infeasible = not has_fractional_factor(sub, params)
+    checks += [
+        _check("designated-deletion-infeasible", infeasible, True, "flow solver verdict"),
+        _check("order-condition", cond.order_ok, False, f"margin {cond.order_margin}"),
+    ]
+    if kind == KIND_NEIGHBORHOOD:
+        checks.append(
+            _check("degree-condition", cond.min_degree_ok, False, f"margin {cond.min_degree_margin}")
         )
-    return report
+
+    try:
+        failing, _ = first_failing_set(g, params)
+    except ResourceLimitError:
+        skipped = True
+    else:
+        skipped = False
+        checks.append(
+            _check("not-critical", failing is not None, True, f"failing set {sorted(failing or ())}")
+        )
+
+    failed = [c.name for c in checks if c.required and not c.passed]
+    if failed:
+        raise ConstructionError(
+            f"{kind} (a={a}, b={b}, t={t}) failed required checks: {', '.join(failed)}"
+        )
+    return SharpnessReport(
+        kind=kind, a=a, b=b, t=t, n=n, checks=tuple(checks), criticality_skipped=skipped
+    )
 
 
 def _check(name: str, passed: bool, required: bool, detail: str) -> SharpnessCheck:
     return SharpnessCheck(name=name, passed=bool(passed), required=required, detail=detail)
-
-
-def _not_critical_check(g: Graph, params: FactorParams) -> SharpnessCheck | None:
-    """The not-critical check, or None when g is above the criticality cap."""
-    try:
-        failing, _ = first_failing_set(g, params)
-    except ResourceLimitError:
-        return None
-    return _check("not-critical", failing is not None, True, f"failing set {sorted(failing or ())}")
-
-
-def _verify_neighborhood_extremal(params: FactorParams, t: int) -> SharpnessReport:
-    a, b = params.a, params.b
-    g, labels = neighborhood_extremal_graph(params, t)
-    n = g.n
-    cond = check_criticality_conditions(g, params)
-    checks: list[SharpnessCheck] = []
-
-    checks.append(
-        _check("order-formula", n == (a + 2 * b) * t + 1, True, f"n = {n}")
-    )
-
-    bt1_part = labels.part_map["bt1K1"]
-    want_union = (a + b) * t
-    pair_ok = (
-        cond.worst_union_size == want_union
-        and cond.worst_pair is not None
-        and set(cond.worst_pair) <= bt1_part
-    )
-    checks.append(
-        _check(
-            "worst-pair-union",
-            pair_ok,
-            True,
-            f"min union {cond.worst_union_size} at {cond.worst_pair}, expected {want_union} inside the largest part",
-        )
-    )
-
-    u_size = cond.worst_union_size or 0
-    window = (
-        (a + 2 * b) * u_size < (a + b) * n < (a + 2 * b) * (u_size + 1)
-    )
-    checks.append(
-        _check(
-            "neighborhood-margin-window",
-            window,
-            True,
-            f"(a+2b)*{u_size} < (a+b)*{n} < (a+2b)*{u_size + 1}",
-        )
-    )
-
-    sub, remap = g.delete_vertices(labels.part_map["btK1"])
-    s_in_sub = frozenset(remap[v] for v in labels.part_map["atK1"])
-    t_expected = frozenset(remap[v] for v in bt1_part)
-    t_got, delta = delta_st(sub, params, s_in_sub)
-    checks.append(
-        _check(
-            "designated-deletion-delta",
-            delta == -a and t_got == t_expected,
-            True,
-            f"delta = {delta}, expected {-a}",
-        )
-    )
-
-    infeasible = not has_fractional_factor(sub, params)
-    checks.append(
-        _check("designated-deletion-infeasible", infeasible, True, "flow solver verdict")
-    )
-
-    checks.append(
-        _check("order-condition", cond.order_ok, False, f"margin {cond.order_margin}")
-    )
-    checks.append(
-        _check(
-            "degree-condition",
-            cond.min_degree_ok,
-            False,
-            f"margin {cond.min_degree_margin}",
-        )
-    )
-
-    crit_check = _not_critical_check(g, params)
-    if crit_check is not None:
-        checks.append(crit_check)
-    return SharpnessReport(
-        kind=KIND_NEIGHBORHOOD,
-        a=a,
-        b=b,
-        t=t,
-        n=n,
-        checks=tuple(checks),
-        criticality_skipped=crit_check is None,
-    )
-
-
-def _verify_degree_extremal(params: FactorParams, t: int) -> SharpnessReport:
-    a, b = params.a, params.b
-    g, labels = min_degree_extremal_graph(params, t)
-    n = g.n
-    bt = b * t
-    cond = check_criticality_conditions(g, params)
-    (u_vertex,) = labels.part_map["u"]
-    checks: list[SharpnessCheck] = []
-
-    checks.append(_check("order-formula", n == (a + 2 * b) * t, True, f"n = {n}"))
-
-    want_delta = bt + a - 1
-    checks.append(
-        _check(
-            "min-degree-value",
-            g.min_degree() == want_delta and g.degree(u_vertex) == want_delta,
-            True,
-            f"min degree {g.min_degree()}, expected {want_delta} at the extra vertex",
-        )
-    )
-
-    checks.append(
-        _check(
-            "degree-one-below-bound",
-            cond.min_degree_margin == -(a + 2 * b),
-            True,
-            f"scaled margin {cond.min_degree_margin}, expected {-(a + 2 * b)}",
-        )
-    )
-
-    checks.append(
-        _check(
-            "neighborhood-condition-holds",
-            cond.neighborhood_ok,
-            True,
-            f"margin {cond.neighborhood_margin}",
-        )
-    )
-
-    sub, remap = g.delete_vertices(labels.part_map["btK1"])
-    u_in_sub = remap[u_vertex]
-    checks.append(
-        _check(
-            "designated-deletion-degree",
-            sub.degree(u_in_sub) == a - 1 and sub.min_degree() == a - 1,
-            True,
-            f"stranded degree {sub.degree(u_in_sub)}, expected {a - 1}",
-        )
-    )
-
-    infeasible = not has_fractional_factor(sub, params)
-    checks.append(
-        _check("designated-deletion-infeasible", infeasible, True, "flow solver verdict")
-    )
-
-    checks.append(
-        _check("order-condition", cond.order_ok, False, f"margin {cond.order_margin}")
-    )
-
-    crit_check = _not_critical_check(g, params)
-    if crit_check is not None:
-        checks.append(crit_check)
-    return SharpnessReport(
-        kind=KIND_DEGREE,
-        a=a,
-        b=b,
-        t=t,
-        n=n,
-        checks=tuple(checks),
-        criticality_skipped=crit_check is None,
-    )

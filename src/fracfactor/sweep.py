@@ -273,41 +273,23 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             summary.condition_passing += 1
 
             crit = is_fractional_id_factor_critical(g, params)
+            failures = []
             if crit.verdict:
                 summary.criticality_confirmed += 1
             else:
-                summary.counterexamples.append(
-                    Counterexample(
-                        source=source,
-                        a=a,
-                        b=b,
-                        kind="criticality",
-                        n=g.n,
-                        edges=tuple(g.edges()),
-                        details={
-                            "conditions": report.to_dict(),
-                            "criticality": crit.to_dict(),
-                        },
-                    )
-                )
-
+                details = {"conditions": report.to_dict(), "criticality": crit.to_dict()}
+                failures.append(("criticality", details))
             for ind in maximal_independent_sets(g):
                 audit = check_deletion_invariants(g, params, ind, report)
                 summary.invariant_checks += 1
                 if not audit.consistent:
-                    summary.counterexamples.append(
-                        Counterexample(
-                            source=source,
-                            a=a,
-                            b=b,
-                            kind="invariants",
-                            n=g.n,
-                            edges=tuple(g.edges()),
-                            details={
-                                "independent_set": sorted(ind),
-                                "audit": audit.to_dict(),
-                            },
-                        )
-                    )
+                    details = {"independent_set": sorted(ind), "audit": audit.to_dict()}
+                    failures.append(("invariants", details))
+            if failures:
+                edges = tuple(g.edges())
+                summary.counterexamples += [
+                    Counterexample(source, a, b, kind, g.n, edges, details)
+                    for kind, details in failures
+                ]
         summaries.append(summary)
     return SweepResult(summaries=summaries)

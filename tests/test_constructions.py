@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from fracfactor import (
+    ConstructionError,
     FactorParams,
     InputError,
     Infeasible,
     KIND_DEGREE,
     KIND_NEIGHBORHOOD,
     check_criticality_conditions,
+    constructions,
     delta_st,
     factor,
     find_fractional_factor,
@@ -241,6 +243,54 @@ def test_verify_sharpness_skips_criticality_above_cap():
     assert report.criticality_skipped
     assert "not-critical" not in {c.name for c in report.checks}
     assert report.required_ok
+
+
+NEIGHBORHOOD_CHECKS = [
+    ("order-formula", True),
+    ("worst-pair-union", True),
+    ("neighborhood-margin-window", True),
+    ("designated-deletion-delta", True),
+    ("designated-deletion-infeasible", True),
+    ("order-condition", False),
+    ("degree-condition", False),
+    ("not-critical", True),
+]
+DEGREE_CHECKS = [
+    ("order-formula", True),
+    ("min-degree-value", True),
+    ("degree-one-below-bound", True),
+    ("neighborhood-condition-holds", True),
+    ("designated-deletion-degree", True),
+    ("designated-deletion-infeasible", True),
+    ("order-condition", False),
+    ("not-critical", True),
+]
+CHECK_ORDER_CASES = (
+    [(KIND_NEIGHBORHOOD, a, b, t, NEIGHBORHOOD_CHECKS, False) for a, b, t in NEIGHBORHOOD_GRID]
+    + [(KIND_DEGREE, a, b, t, DEGREE_CHECKS, False) for a, b, t in DEGREE_GRID]
+    # order 25 is above the criticality cap, so the not-critical check is skipped
+    + [(KIND_NEIGHBORHOOD, 2, 3, 3, NEIGHBORHOOD_CHECKS[:-1], True)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind, a, b, t, expected, skipped",
+    CHECK_ORDER_CASES,
+    ids=[f"{kind}-{a}-{b}-{t}" for kind, a, b, t, _, _ in CHECK_ORDER_CASES],
+)
+def test_verify_sharpness_check_order(kind, a, b, t, expected, skipped):
+    report = verify_sharpness(kind, FactorParams(a, b), t)
+    assert [(c.name, c.required) for c in report.checks] == expected
+    assert report.criticality_skipped is skipped
+
+
+@pytest.mark.parametrize("kind, a, b, t", [(KIND_NEIGHBORHOOD, 1, 2, 1), (KIND_DEGREE, 2, 2, 1)])
+def test_verify_sharpness_raises_on_failed_required_check(monkeypatch, kind, a, b, t):
+    monkeypatch.setattr(constructions, "has_fractional_factor", lambda g, params: True)
+    message = f"{kind} (a={a}, b={b}, t={t}) failed required checks: designated-deletion-infeasible"
+    with pytest.raises(ConstructionError) as excinfo:
+        verify_sharpness(kind, FactorParams(a, b), t)
+    assert str(excinfo.value) == message
 
 
 def test_verify_sharpness_unknown_kind():

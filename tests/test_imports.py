@@ -1,7 +1,8 @@
 """Import rules checked with stdlib ast, no linter.
 
-Every name a fracfactor module imports is used there, and the reference
-oracle imports nothing from fracfactor.
+Every name a fracfactor module imports is used there, every module-level
+_private function or class is referenced there, and the reference oracle
+imports nothing from fracfactor.
 """
 
 import ast
@@ -52,6 +53,37 @@ def test_unused_imports_are_found():
     )
     assert unused_imports(source) == ["line 3: Dinic", "line 2: os"]
     assert len(MODULES) >= 10
+
+
+def dead_helpers(source: str) -> list[str]:
+    """Module-level _private functions and classes that no other top-level statement references."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        others = (n for top in tree.body if top is not node for n in ast.walk(top))
+        if not any(isinstance(n, ast.Name) and n.id == node.name for n in others):
+            found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_dead_helpers(path):
+    assert dead_helpers(path.read_text(encoding="utf-8")) == []
+
+
+def test_dead_helpers_are_found():
+    source = (
+        "def _used():\n    pass\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Unused:\n    pass\n"
+        "def __getattr__(name):\n    pass\n"
+        "def public():\n    return _used()\n"
+    )
+    assert dead_helpers(source) == ["line 3: _recursive", "line 5: _Unused"]
 
 
 def library_imports(source: str) -> list[str]:

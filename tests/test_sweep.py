@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from fracfactor import (
+    DeletionCheck,
     FactorParams,
     Graph,
     InputError,
@@ -126,6 +127,31 @@ def test_exhaustive_sweep_small_orders_clean():
     assert summary.condition_passing == 1
     assert summary.criticality_confirmed == 1
     assert summary.invariant_checks == 4  # the four maximal singletons of K4
+
+
+def test_inconsistent_invariants_are_recorded_with_the_graph(monkeypatch):
+    audit = DeletionCheck(
+        set_size=1,
+        size_ok=False,
+        size_margin=-1,
+        deleted_min_degree=2,
+        min_degree_ok=True,
+        min_degree_margin=0,
+    )
+    monkeypatch.setattr(sweep, "check_deletion_invariants", lambda g, params, ind, report: audit)
+    (summary,) = run_sweep(SweepConfig(pairs=((1, 1),), exhaustive_max_n=4)).summaries
+    # K4, the only graph up to n = 4 that passes, has four maximal independent sets
+    k4 = Graph(4, list(combinations(range(4), 2)))
+    assert [c.kind for c in summary.counterexamples] == ["invariants"] * 4
+    assert summary.counterexamples[0].to_dict() == {
+        "source": "exhaustive/n=4/mask=63",
+        "a": 1,
+        "b": 1,
+        "kind": "invariants",
+        "n": 4,
+        "edges": [list(e) for e in k4.edges()],
+        "details": {"independent_set": [0], "audit": audit.to_dict()},
+    }
 
 
 def test_random_sweep_is_deterministic():
