@@ -21,10 +21,7 @@ from pathlib import Path
 from .conditions import check_criticality_conditions
 from .constructions import (
     GENERATED_KINDS,
-    KIND_NEIGHBORHOOD,
     KIND_RANDOM,
-    min_degree_extremal_graph,
-    neighborhood_extremal_graph,
     parse_probability,
     random_graph,
     verify_sharpness,
@@ -266,10 +263,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
     _require(args, ["a", "b", "t"])
     params = FactorParams(args.a, args.b)
-    if args.kind == KIND_NEIGHBORHOOD:
-        g, labels = neighborhood_extremal_graph(params, args.t)
-    else:
-        g, labels = min_degree_extremal_graph(params, args.t)
+    g, labels = GENERATED_KINDS[args.kind](params, args.t)
     sidecar = out.with_suffix(".labels.json")
     out.write_text(format_edge_list(g))
     sidecar_doc = {"kind": args.kind, "a": params.a, "b": params.b, "t": args.t}

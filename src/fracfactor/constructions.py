@@ -30,8 +30,6 @@ KIND_NEIGHBORHOOD = "neighborhood-extremal"
 KIND_DEGREE = "degree-extremal"
 KIND_RANDOM = "random"
 
-GENERATED_KINDS = (KIND_NEIGHBORHOOD, KIND_DEGREE)
-
 
 @dataclass(frozen=True)
 class ConstructionLabels:
@@ -151,6 +149,12 @@ def min_degree_extremal_graph(
     return g, labels
 
 
+GENERATED_KINDS = {  # extremal kind -> generator, in the order the CLI lists them
+    KIND_NEIGHBORHOOD: neighborhood_extremal_graph,
+    KIND_DEGREE: min_degree_extremal_graph,
+}
+
+
 def random_graph(n: int, p: Fraction | float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a given seed.
 
@@ -249,17 +253,13 @@ def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport
     report is marked criticality_skipped.
     """
     a, b = params.a, params.b
-    if kind == KIND_NEIGHBORHOOD:
-        g, labels = neighborhood_extremal_graph(params, t)
-        want_n = (a + 2 * b) * t + 1
-    elif kind == KIND_DEGREE:
-        g, labels = min_degree_extremal_graph(params, t)
-        want_n = (a + 2 * b) * t
-    else:
+    if kind not in GENERATED_KINDS:
         raise InputError(f"unknown construction kind {kind!r}")
+    g, labels = GENERATED_KINDS[kind](params, t)
     n = g.n
     cond = check_criticality_conditions(g, params)
     sub, remap = g.delete_vertices(labels.part_map["btK1"])
+    want_n = (a + 2 * b) * t + (1 if kind == KIND_NEIGHBORHOOD else 0)
     checks = [_check("order-formula", n == want_n, True, f"n = {n}")]
     if kind == KIND_NEIGHBORHOOD:
         bt1_part = labels.part_map["bt1K1"]
@@ -322,7 +322,7 @@ def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport
 
     infeasible = not has_fractional_factor(sub, params)
     checks += [
-        _check("designated-deletion-infeasible", infeasible, True, "flow solver verdict"),
+        _check("designated-deletion-infeasible", infeasible, True, "b-matching search verdict"),
         _check("order-condition", cond.order_ok, False, f"margin {cond.order_margin}"),
     ]
     if kind == KIND_NEIGHBORHOOD:

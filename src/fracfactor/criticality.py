@@ -127,15 +127,16 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
     A child is its parent plus one vertex v above the parent's maximum. It
     copies the parent's saturated b-matching and drops v's units in and out.
     Every sender that lost its unit into v (at most b of them) is then one
-    short, and one search each restores it or decides the set infeasible.
+    short, and one restore call searches for each in turn, restoring them
+    all or deciding the set infeasible.
     DFS preorder is lexicographic among sets of one size, so once a set of
     size k fails, no later set of size k or more is decided, and no failing
     set is extended: the last failing set yielded is the first in (size, lex)
     order.
     """
-    n, a = g.n, params.a
+    n = g.n
     adj = g.adjacency_masks()
-    search = augmenting_search(adj, params.b)
+    restore = augmenting_search(adj, params.b)
     smallest_failure = n + 1
 
     def children(
@@ -152,16 +153,12 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
             used, owners = parent_used[:], parent_owners[:]
             for w in mask_vertices(used[v]):
                 owners[w] ^= 1 << v
-            senders = owners[v]
-            for x in mask_vertices(senders):
+            senders = mask_vertices(owners[v])
+            for x in senders:
                 used[x] ^= 1 << v
             used[v] = owners[v] = 0
-            full = parent_full & ~parent_used[v] & ~(1 << v)
             alive = parent_alive & ~(1 << v)
-            for x in mask_vertices(senders):
-                full = search(x, used, owners, full, alive)
-                if full < 0:
-                    break
+            full = restore(senders, used, owners, parent_full & ~parent_used[v] & ~(1 << v), alive)
             ind.append(v)
             ok = full >= 0
             yield frozenset(ind), ok
@@ -171,11 +168,8 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
                 smallest_failure = len(ind)
             ind.pop()
 
-    used, owners, full, alive = [0] * n, [0] * n, 0, (1 << n) - 1
-    for u in [*range(n)] * a:  # every vertex starts a units short
-        full = search(u, used, owners, full, alive)
-        if full < 0:
-            break
+    used, owners, alive = [0] * n, [0] * n, (1 << n) - 1
+    full = restore([*range(n)] * params.a, used, owners, 0, alive)  # all start a units short
     ok = full >= 0
     yield frozenset(), ok
     if ok:

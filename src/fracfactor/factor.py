@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Literal, Mapping, Union
+from typing import Callable, Iterable, Literal, Mapping, Union
 
 from .errors import InputError, ResourceLimitError
 from .graphs import Edge, Graph, content_lines, mask_vertices
@@ -139,10 +139,21 @@ def has_fractional_factor_bruteforce(
 ) -> Union[Literal[True], ViolationCertificate]:
     """Scan every vertex subset; True if all pass, else the worst certificate.
 
-    The reported S has the most negative delta, with ties broken by smaller
-    |S| and then lexicographically, so the output is deterministic. Raises
-    ResourceLimitError above the cap; find_fractional_factor handles any
-    order in polynomial time.
+    The reported S has the most negative delta and, among those, the
+    smallest |S|. That S is unique, so no other tie-break is needed. On
+    augmenting_search's network every s-t cut is {s} + T+ + S-, of capacity
+    a*n - a|T| + b|S| + the sum over u in T of |N(u) - S|:
+    - for disjoint S and T it is a*n + b|S| + d_{G-S}(T) - a|T|, at least
+      a*n + delta(S), with equality at delta's own T;
+    - taking W = S & T out of both sides changes it by (a - b)|W| + the sum
+      over v in W of (|N(v) & (T - W)| - |N(v) - S|) <= 0, so S minimises
+      delta exactly when {s} + T+ + S- is a minimum cut, T being delta's T;
+    - minimum cuts are closed under intersection (J.-C. Picard and
+      M. Queyranne, Math. Programming Study 13, 1980), and two such cuts
+      meet in one with disjoint sides, so S1 & S2 minimises delta whenever
+      S1 and S2 do, and a second smallest minimiser would give a smaller one.
+    Raises ResourceLimitError above the cap; find_fractional_factor handles
+    any order in polynomial time.
     """
     if g.n > DEFAULT_BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(
@@ -154,8 +165,8 @@ def has_fractional_factor_bruteforce(
     masks = g.adjacency_masks()
     full = (1 << n) - 1
 
-    best_key: tuple[int, int] | None = None
-    best_verts: tuple[int, ...] | None = None
+    best_key: tuple[int, int] = (0, 0)
+    best_mask = -1
     for smask in range(1 << n):
         comp = full & ~smask
         t_size = 0
@@ -172,23 +183,19 @@ def has_fractional_factor_bruteforce(
         delta = b * smask.bit_count() + degree_sum - a * t_size
         if delta < 0:
             key = (delta, smask.bit_count())
-            if best_key is None or key < best_key:
+            if key < best_key:
                 best_key = key
-                best_verts = mask_vertices(smask)
-            elif key == best_key:
-                verts = mask_vertices(smask)
-                if verts < best_verts:  # type: ignore[operator]
-                    best_verts = verts
-    if best_key is None:
+                best_mask = smask
+    if best_mask < 0:
         return True
-    s_set = frozenset(best_verts or ())
+    s_set = frozenset(mask_vertices(best_mask))
     t_set, delta = delta_st(g, params, s_set)
     return ViolationCertificate(s=s_set, t=t_set, delta=delta)
 
 
 def augmenting_search(
     adj: tuple[int, ...], b: int
-) -> Callable[[int, list[int], list[int], int, int], int]:
+) -> Callable[[Iterable[int], list[int], list[int], int, int], int]:
     """The augmenting-path search of a b-matching on the graph with adjacency masks adj.
 
     The flow model is the double cover without lower bounds: s -> u+ with
@@ -203,11 +210,13 @@ def augmenting_search(
     units, each to a different neighbour w on the right, and w takes at most
     b. Bit w of used[u] and bit u of owners[w] mark the unit u -> w; bit w of
     full marks a right vertex at load b; alive masks the vertices taking part.
-    search(u, used, owners, full, alive) is a BFS from a left vertex u short
-    of a over alternating paths: from a left x to its unused live neighbours,
-    from a full right vertex to its owners. It stops at a right vertex below
-    b and flips the path, which gives u one more unit and changes no other
-    load on the left. It returns the new full mask, or -1 if no path exists.
+    restore(short, used, owners, full, alive) gives each left vertex listed
+    in short one more unit, in order, updating used and owners in place; a
+    vertex listed k times gains k units. Each unit comes from one BFS over
+    alternating paths: from a left x to its unused live neighbours, from a
+    full right vertex to its owners. It stops at a right vertex below b and
+    flips the path, which changes no other load on the left. restore returns
+    the new full mask, or -1 at the first BFS that finds no path.
 
     A failed search decides the instance. Let X be what the residual graph
     reaches from u+ without passing through s. t is not in X, and every arc
@@ -217,57 +226,55 @@ def augmenting_search(
     a times the number of live vertices.
     """
 
-    def search(u: int, used: list[int], owners: list[int], full: int, alive: int) -> int:
-        via: dict[int, int] = {}  # right w -> the left vertex the BFS reached it from
-        came: dict[int, int] = {}  # left y -> the full right vertex it would give up
-        seen_left, seen_right = 1 << u, 0
-        queue = [u]
-        for x in queue:
-            reach = adj[x] & alive & ~used[x] & ~seen_right
-            free = reach & ~full
-            if free:
-                w = (free & -free).bit_length() - 1
-                owners[w] |= 1 << x
-                if owners[w].bit_count() == b:
-                    full |= 1 << w
-                used[x] |= 1 << w
-                while x != u:  # x gives up the unit it was reached through
-                    w = came[x]
-                    used[x] ^= 1 << w
-                    owners[w] ^= 1 << x
-                    x = via[w]
-                    used[x] |= 1 << w
+    def restore(short: Iterable[int], used: list[int], owners: list[int], full: int, alive: int) -> int:
+        for u in short:
+            via: dict[int, int] = {}  # right w -> the left vertex the BFS reached it from
+            came: dict[int, int] = {}  # left y -> the full right vertex it would give up
+            seen_left, seen_right = 1 << u, 0
+            queue = [u]
+            for x in queue:
+                reach = adj[x] & alive & ~used[x] & ~seen_right
+                free = reach & ~full
+                if free:
+                    w = (free & -free).bit_length() - 1
                     owners[w] |= 1 << x
-                return full
-            seen_right |= reach
-            while reach:
-                low = reach & -reach
-                reach ^= low
-                w = low.bit_length() - 1
-                via[w] = x
-                fresh = owners[w] & ~seen_left
-                seen_left |= fresh
-                while fresh:
-                    low = fresh & -fresh
-                    fresh ^= low
-                    y = low.bit_length() - 1
-                    came[y] = w
-                    queue.append(y)
-        return -1
+                    if owners[w].bit_count() == b:
+                        full |= 1 << w
+                    used[x] |= 1 << w
+                    while x != u:  # x gives up the unit it was reached through
+                        w = came[x]
+                        used[x] ^= 1 << w
+                        owners[w] ^= 1 << x
+                        x = via[w]
+                        used[x] |= 1 << w
+                        owners[w] |= 1 << x
+                    break
+                seen_right |= reach
+                while reach:
+                    low = reach & -reach
+                    reach ^= low
+                    w = low.bit_length() - 1
+                    via[w] = x
+                    fresh = owners[w] & ~seen_left
+                    seen_left |= fresh
+                    while fresh:
+                        low = fresh & -fresh
+                        fresh ^= low
+                        y = low.bit_length() - 1
+                        came[y] = w
+                        queue.append(y)
+            else:  # the BFS ran out without reaching a right vertex below b
+                return -1
+        return full
 
-    return search
+    return restore
 
 
 def has_fractional_factor(g: Graph, params: FactorParams) -> bool:
     """Decide existence by saturating a b-matching, a searches per vertex."""
     n = g.n
-    search = augmenting_search(g.adjacency_masks(), params.b)
-    used, owners, full, alive = [0] * n, [0] * n, 0, (1 << n) - 1
-    for u in [*range(n)] * params.a:
-        full = search(u, used, owners, full, alive)
-        if full < 0:
-            return False
-    return True
+    restore = augmenting_search(g.adjacency_masks(), params.b)
+    return restore([*range(n)] * params.a, [0] * n, [0] * n, 0, (1 << n) - 1) >= 0
 
 
 def find_fractional_factor(
@@ -284,8 +291,6 @@ def find_fractional_factor(
     attached to the verdict; beyond the cap the verdict comes bare.
     """
     n = g.n
-    if n == 0:
-        return FractionalAssignment({})
     if not has_fractional_factor(g, params):
         certificate = None
         if n <= DEFAULT_BRUTE_FORCE_LIMIT:

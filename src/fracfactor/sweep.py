@@ -64,6 +64,8 @@ class SweepConfig:
             FactorParams(a, b)
         has_random = bool(self.random_orders)
         if has_random:
+            if min(self.random_orders) < 1:
+                raise InputError(f"random orders must be >= 1, got {min(self.random_orders)}")
             if not self.random_probabilities:
                 raise InputError("random ensemble needs at least one probability")
             if self.random_samples < 1:

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +13,7 @@ from fracfactor import (
     format_edge_list,
     parse_edge_list,
     path_graph,
+    sweep,
 )
 from fracfactor import cli
 from fracfactor.cli import main
@@ -278,6 +281,79 @@ def test_non_utf8_sweep_config(tmp_path, capsys):
     path.write_bytes(b"[params]\npairs = 1,1\n[exhaustive]\nmax_n = 3 # \xff\n")
     assert main(["verify-theorem", str(path)]) == 2
     assert "UTF-8" in capsys.readouterr().err
+
+
+def test_construction_error_exits_1_with_fatal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(constructions, "has_fractional_factor", lambda g, params: True)
+    args = ["gen", "degree-extremal", "-a", "1", "-b", "1", "-t", "2"]
+    assert main([*args, "-o", str(tmp_path / "g.txt"), "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "fatal: degree-extremal (a=1, b=1, t=2) failed required checks: "
+        "designated-deletion-infeasible\n"
+    )
+
+
+def test_verify_theorem_prints_counterexamples(tmp_path, capsys, monkeypatch):
+    inconsistent = SimpleNamespace(consistent=False, to_dict=lambda: {})
+    monkeypatch.setattr(sweep, "check_deletion_invariants", lambda *args: inconsistent)
+    config = tmp_path / "sweep.ini"
+    config.write_text("[params]\npairs = 1,1\n[exhaustive]\nmax_n = 4\n")
+    assert main(["verify-theorem", str(config)]) == 1
+    edges = "[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]"
+    # K4's four maximal independent sets each fail the patched audit
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "total counterexamples: 4",
+        *["counterexample [invariants] at exhaustive/n=4/mask=63:", f"  edges: {edges}"] * 4,
+    ]
+
+
+def test_gen_verify_reports_a_skipped_criticality_check(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    args = ["gen", "neighborhood-extremal", "-a", "2", "-b", "3", "-t", "3", "-o", str(out)]
+    assert main([*args, "--verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "  [reported] degree-condition: pass (margin 29)",
+        "  criticality check skipped (order above cap)",
+    ]
+    assert "  [required] designated-deletion-infeasible: pass (b-matching search verdict)" in lines
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks() -> list[tuple[str, str]]:
+    """(info string, body) of every fenced code block in README, in order."""
+    parts = README.read_text(encoding="utf-8").split("```")
+    return [tuple(block.split("\n", 1)) for block in parts[1::2]]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    blocks = readme_blocks()
+    edge_list = next(body for info, body in blocks if body.startswith("# C4\n"))
+    config = next(body for info, body in blocks if info == "ini")
+    commands = [
+        line
+        for info, body in blocks
+        if info == "sh"
+        for line in body.splitlines()
+        if line.startswith("fracfactor ")
+    ]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text(edge_list)
+    (tmp_path / "sweep.ini").write_text(config)
+    codes = []
+    for line in commands:
+        try:
+            codes.append(main(shlex.split(line)[1:]))
+        except SystemExit as exc:  # argparse usage errors
+            codes.append(exc.code)
+    capsys.readouterr()
+    # no usage, input or cap error; C4 is not critical and fails the hypotheses
+    assert codes == [0, 1, 1, 0, 0, 0, 0]
 
 
 # -- exit-code contract under arbitrary input ---------------------------------

@@ -27,7 +27,7 @@ from fracfactor import (
 )
 from fracfactor import Graph
 
-from oracle import naive_delta, naive_has_factor, naive_violation
+from oracle import all_subsets, naive_delta, naive_has_factor, naive_violation
 
 P11 = FactorParams(1, 1)
 
@@ -206,24 +206,31 @@ def test_solver_agrees_with_oracle_on_small_corpus():
 ORACLE_PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
 
 
-def oracle_verdicts(n: int) -> dict[int, dict[tuple[int, int], bool]]:
-    """naive_has_factor under ORACLE_PAIRS for every labeled graph on n vertices, by edge mask.
+def per_isomorphism_class(n: int, label_free):
+    """label_free(edges) for every labeled graph on n vertices, keyed by edge mask.
 
-    The verdict does not depend on labels, so the oracle runs once per
-    isomorphism class and its verdicts are copied to every relabelling.
+    The value must not depend on labels, so label_free runs once per
+    isomorphism class and its value is copied to every relabelling.
     """
     slots = list(combinations(range(n), 2))
     bit = {e: 1 << i for i, e in enumerate(slots)}
     perms = list(permutations(range(n)))
-    verdicts: dict[int, dict[tuple[int, int], bool]] = {}
+    values = {}
     for mask in range(1 << len(slots)):
-        if mask in verdicts:
+        if mask in values:
             continue
         edges = [e for e in slots if mask & bit[e]]
-        verdict = {(a, b): naive_has_factor(n, edges, a, b) for a, b in ORACLE_PAIRS}
+        value = label_free(edges)
         for perm in perms:
-            verdicts[sum(bit[tuple(sorted((perm[u], perm[v])))] for u, v in edges)] = verdict
-    return verdicts
+            values[sum(bit[tuple(sorted((perm[u], perm[v])))] for u, v in edges)] = value
+    return values
+
+
+def oracle_verdicts(n: int) -> dict[int, dict[tuple[int, int], bool]]:
+    """naive_has_factor under ORACLE_PAIRS for every labeled graph on n vertices, by edge mask."""
+    return per_isomorphism_class(
+        n, lambda edges: {(a, b): naive_has_factor(n, edges, a, b) for a, b in ORACLE_PAIRS}
+    )
 
 
 def test_has_fractional_factor_matches_the_oracle_on_every_small_graph():
@@ -235,6 +242,28 @@ def test_has_fractional_factor_matches_the_oracle_on_every_small_graph():
             g = Graph(n, [slots[i] for i in range(len(slots)) if (mask >> i) & 1])
             for a, b in ORACLE_PAIRS:
                 assert has_fractional_factor(g, FactorParams(a, b)) == verdict[(a, b)], (mask, a, b)
+
+
+def worst_sets(n: int, edges, a: int, b: int) -> list[tuple[int, ...]]:
+    """Every S attaining the least (delta, |S|) by naive_delta, or [] when no delta is negative."""
+    keyed = [(naive_delta(n, edges, a, b, s)[1], len(s), s) for s in all_subsets(n)]
+    best = min(keyed)
+    return [s for delta, size, s in keyed if (delta, size) == best[:2]] if best[0] < 0 else []
+
+
+def test_the_worst_smallest_violating_set_is_unique():
+    # The subset scan relies on this (see its docstring) to need no lexicographic tie-break.
+    pairs = [(1, 1), (1, 2), (2, 2)]
+    infeasible = 0
+    for n in range(7):
+        counts = per_isomorphism_class(
+            n, lambda edges: [len(worst_sets(n, edges, a, b)) for a, b in pairs]
+        )
+        assert len(counts) == 1 << (n * (n - 1) // 2)
+        for mask, per_pair in counts.items():
+            assert set(per_pair) <= {0, 1}, (n, mask, per_pair)
+            infeasible += sum(per_pair)
+    assert infeasible > 0
 
 
 @pytest.mark.parametrize("n", range(7, 13))

@@ -175,6 +175,19 @@ def test_parse_rejects_count_mismatch():
         parse_edge_list("")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("three 1\n0 1\n", "line 1: header values must be integers"),
+        ("3 -1\n", "line 1: edge count must be nonnegative"),
+        ("3 2\n0 1\n1 two\n", "line 3: edge endpoints must be integers"),
+    ],
+)
+def test_parse_rejects_non_integers_and_negative_counts(text, message):
+    with pytest.raises(InputError, match=message):
+        parse_edge_list(text)
+
+
 def test_format_is_deterministic():
     g = Graph(4, [(2, 3), (0, 1), (1, 3)])
     assert format_edge_list(g) == "4 3\n0 1\n1 3\n2 3\n"

@@ -99,6 +99,52 @@ def test_config_rejects_orders_above_cap():
         config.validate()
 
 
+def test_parse_rejects_non_integer_max_n():
+    with pytest.raises(InputError, match="malformed sweep config"):
+        parse_sweep_config("[params]\npairs = 1,1\n[exhaustive]\nmax_n = six\n")
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"random_probabilities": ()}, "at least one probability"),
+        ({"random_samples": 0}, "samples >= 1"),
+        ({"random_probabilities": (Fraction(1, 2), Fraction(3, 2))}, "outside \\[0, 1\\]"),
+        ({"random_probabilities": (Fraction(-1, 4),)}, "outside \\[0, 1\\]"),
+        ({"exhaustive_max_n": 0}, "max_n must be >= 1"),
+    ],
+)
+def test_config_rejects_malformed_ensembles(changes, message):
+    fields = {
+        "pairs": ((1, 1),),
+        "random_orders": (6,),
+        "random_probabilities": (Fraction(1, 2),),
+        "random_samples": 1,
+    }
+    with pytest.raises(InputError, match=message):
+        SweepConfig(**{**fields, **changes}).validate()
+
+
+@pytest.mark.parametrize("orders", ["0", "-3", "6 0"])
+def test_random_orders_below_one_are_refused_before_any_work(monkeypatch, orders):
+    def never_checked(g, params):
+        raise AssertionError("a graph was checked before the config was refused")
+
+    monkeypatch.setattr(sweep, "check_criticality_conditions", never_checked)
+    text = CONFIG_TEXT.replace("orders = 6", f"orders = {orders}")
+    with pytest.raises(InputError, match="random orders must be >= 1"):
+        parse_sweep_config(text)
+    config = SweepConfig(
+        pairs=((1, 1),),
+        exhaustive_max_n=6,
+        random_orders=tuple(int(tok) for tok in orders.split()),
+        random_probabilities=(Fraction(1, 2),),
+        random_samples=1,
+    )
+    with pytest.raises(InputError, match="random orders must be >= 1"):
+        run_sweep(config)
+
+
 def test_exhaustive_order_is_capped():
     text = "[params]\npairs = 1,1\n[exhaustive]\nmax_n = {}\n"
     assert parse_sweep_config(text.format(EXHAUSTIVE_ORDER_LIMIT)).exhaustive_max_n == 7
