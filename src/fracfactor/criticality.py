@@ -4,12 +4,16 @@ A graph G is fractional ID-[a,b]-factor-critical when G - I has a fractional
 [a,b]-factor for every independent set I, the empty set included. Checking
 only maximal independent sets would be unsound: deleting a smaller set
 leaves more vertices behind and can fail where larger deletions succeed, so
-the check below really enumerates every independent set, smallest first.
+the check below covers every independent set, smallest first. It decides
+one set per orbit under twin swaps, which give isomorphic deletions, and
+counts the rest of each orbit by its size.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import comb, prod
 from typing import Iterator
 
 from .errors import ResourceLimitError
@@ -115,8 +119,29 @@ class CriticalityReport:
         return out
 
 
-def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozenset[int], bool]]:
-    """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of the independent sets.
+def twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """The mask of each vertex's twin class, for the graph with adjacency masks adj.
+
+    u and v are false twins when N(u) = N(v) and true twins when
+    N[u] = N[v]; each relation is an equivalence. An open neighbourhood
+    never equals a closed one (N(u) = N[v] would put v in N(u), so u in
+    N(v) and in N[v] = N(u)), so one dict keyed by both finds both. No
+    vertex has twins of both kinds: with N(u) = N(v) and N[u] = N[w], w is
+    in N(v), so v is in N[w] = N[u], and v would neighbour its false twin u.
+    A vertex without twins is a class of one.
+    """
+    groups: dict[int, int] = {}
+    for v, nbrs in enumerate(adj):
+        bit = 1 << v
+        groups[nbrs] = groups.get(nbrs, 0) | bit
+        groups[nbrs | bit] = groups.get(nbrs | bit, 0) | bit
+    return [groups[nbrs] | groups[nbrs | 1 << v] for v, nbrs in enumerate(adj)]
+
+
+def deletion_verdicts(
+    g: Graph, params: FactorParams, classes: list[int] | None = None
+) -> Iterator[tuple[frozenset[int], bool]]:
+    """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of canonical sets I.
 
     Each G - I is the b-matching of factor.augmenting_search with I's
     vertices masked out of alive: G - I has a fractional [a,b]-factor iff
@@ -124,11 +149,31 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
     set infeasible (the proofs are in that function's docstring). The root
     runs a searches per vertex, as has_fractional_factor does.
 
-    A child is its parent plus one vertex v above the parent's maximum. It
-    copies the parent's saturated b-matching and drops v's units in and out.
-    Every sender that lost its unit into v (at most b of them) is then one
-    short, and one restore call searches for each in turn, restoring them
-    all or deciding the set infeasible.
+    Only canonical sets are decided: those meeting each twin class K (see
+    twin_classes) in its |I & K| lowest members. That loses nothing:
+    - swapping twins u and v fixes every other vertex's adjacency to both,
+      and the edge uv if there is one, so it is an automorphism, and
+      G - I is isomorphic to G - I' for every I' in I's orbit under twin
+      swaps, the sets meeting each class K in |I & K| members;
+    - the canonical set C of an orbit is its lex-least: per class, C's
+      members are the lowest, so C has at least as many members as any D of
+      the orbit below each vertex, its i-th member is at most D's, and
+      C <= D. The first failing set in (size, lex) order is canonical;
+    - removing the maximum of a canonical set leaves a canonical set (the
+      maximum is its class's highest member in the set), so every canonical
+      set is reached through canonical parents.
+    A child is its parent plus one vertex v above the parent's maximum,
+    where v's next-lower twin, if any, is already in I. Each node carries
+    the mask of such v outside its neighbourhood. The root's mask holds each
+    class's lowest member; a child's drops v's neighbours and gains v's
+    next-higher twin, unless that is a true twin, which neighbours v.
+    A caller that already holds twin_classes(g.adjacency_masks()) passes it
+    as classes.
+
+    The child copies the parent's saturated b-matching and drops v's units
+    in and out. Every sender that lost its unit into v (at most b of them)
+    is then one short, and one restore call searches for each in turn,
+    restoring them all or deciding the set infeasible.
     DFS preorder is lexicographic among sets of one size, so once a set of
     size k fails, no later set of size k or more is decided, and no failing
     set is extended: the last failing set yielded is the first in (size, lex)
@@ -137,33 +182,37 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
     n = g.n
     adj = g.adjacency_masks()
     restore = augmenting_search(adj, params.b)
+    if classes is None:
+        classes = twin_classes(adj)
+    above = [k & -(2 << v) for v, k in enumerate(classes)]  # each vertex's higher twins
+    next_twin = [m & -m for m in above]
     smallest_failure = n + 1
 
     def children(
-        ind: list[int], forbidden: int, parent: tuple[list[int], list[int], int, int]
+        ind: list[int], allowed: int, parent: tuple[list[int], list[int], int, int]
     ) -> Iterator[tuple[frozenset[int], bool]]:
         nonlocal smallest_failure
         parent_used, parent_owners, parent_full, parent_alive = parent
-        for v in range(ind[-1] + 1 if ind else 0, n):
-            if len(ind) + 1 >= smallest_failure:
-                return
-            if (forbidden >> v) & 1:
-                continue
+        while allowed and len(ind) + 1 < smallest_failure:
+            bit = allowed & -allowed
+            allowed ^= bit
+            v = bit.bit_length() - 1
             # Dropping v's units out only lowers loads; each sender into v is one short.
             used, owners = parent_used[:], parent_owners[:]
             for w in mask_vertices(used[v]):
-                owners[w] ^= 1 << v
+                owners[w] ^= bit
             senders = mask_vertices(owners[v])
             for x in senders:
-                used[x] ^= 1 << v
+                used[x] ^= bit
             used[v] = owners[v] = 0
-            alive = parent_alive & ~(1 << v)
-            full = restore(senders, used, owners, parent_full & ~parent_used[v] & ~(1 << v), alive)
+            alive = parent_alive & ~bit
+            full = restore(senders, used, owners, parent_full & ~parent_used[v] & ~bit, alive)
             ind.append(v)
             ok = full >= 0
             yield frozenset(ind), ok
             if ok:
-                yield from children(ind, forbidden | adj[v], (used, owners, full, alive))
+                child_allowed = (allowed | next_twin[v]) & ~adj[v]
+                yield from children(ind, child_allowed, (used, owners, full, alive))
             else:
                 smallest_failure = len(ind)
             ind.pop()
@@ -173,31 +222,75 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
     ok = full >= 0
     yield frozenset(), ok
     if ok:
-        yield from children([], 0, (used, owners, full, alive))
+        lowest = sum({k & -k for k in classes})  # each class's lowest member
+        yield from children([], lowest, (used, owners, full, alive))
 
 
 def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:
     """The first independent set I in (size, lex) order with no factor on G - I, or None.
 
     Also returns I's 1-based index in enumerate_independent_sets order, or
-    the number of independent sets when none fails. deletion_verdicts decides
-    every set smaller than I and every set of I's size up to I, and no other
-    set of I's size or more, so the index is the number of sets it yields of
-    size at most |I|. Raises ResourceLimitError above the criticality cap.
+    the number of independent sets when none fails. Raises
+    ResourceLimitError above the criticality cap.
+
+    deletion_verdicts decides every canonical set smaller than I, every
+    canonical set of I's size up to I, and no other set of I's size or
+    more. Each canonical set C stands for its orbit, whose size is the
+    product over twin classes K of binom(|K|, |C & K|) (|K| for a true-twin
+    class C meets, as C takes at most one of its members). Orbits partition
+    the independent sets, and each holds its own canonical set, so:
+    - the sets smaller than I are the orbits of the smaller decided sets;
+    - a set D of I's size with D <= I has its canonical set C <= D <= I,
+      a decided set, so the sets of I's size up to I are the orbits of the
+      decided sets of that size, less their members after I.
+    _orbit_after counts those members.
     """
     if g.n > DEFAULT_CRITICALITY_LIMIT:
         raise ResourceLimitError(
             f"criticality check over {g.n} vertices exceeds the cap of "
             f"{DEFAULT_CRITICALITY_LIMIT}"
         )
+    classes = twin_classes(g.adjacency_masks())
+    twinned = frozenset(v for v, k in enumerate(classes) if k != 1 << v)
     failing, by_size = None, [0] * (g.n + 1)
-    for ind, ok in deletion_verdicts(g, params):
-        by_size[len(ind)] += 1
+    shared: list[list[frozenset[int]]] = [[] for _ in by_size]  # sets meeting a twin class
+    for ind, ok in deletion_verdicts(g, params, classes):
+        orbit = 1
+        if not twinned.isdisjoint(ind):
+            counts = Counter(classes[v] for v in ind)
+            orbit = prod(comb(k.bit_count(), c) for k, c in counts.items())
+            shared[len(ind)].append(ind)
+        by_size[len(ind)] += orbit
         if not ok:
             failing = ind
     if failing is None:
         return None, sum(by_size)
-    return failing, sum(by_size[: len(failing) + 1])
+    k = len(failing)
+    after = sum(_orbit_after(c, failing, classes) for c in shared[k])
+    return failing, sum(by_size[: k + 1]) - after
+
+
+def _orbit_after(c: frozenset[int], f: frozenset[int], classes: list[int]) -> int:
+    """How many sets of canonical set c's twin orbit come after f in lex order, |c| = |f|.
+
+    Such a set D agrees with f below some position j and has a larger j-th
+    member x. Taking f's first j members and then x leaves need[K] members
+    to pick from each class K, all above x: binom(|K above x|, need[K])
+    ways per class. Once f's first j members do not fit c's class counts,
+    no set of the orbit starts with them.
+    """
+    need = Counter(classes[v] for v in c)
+    after = 0
+    for v in sorted(f):
+        for x in range(v + 1, len(classes)):
+            if need[classes[x]]:
+                need[classes[x]] -= 1
+                after += prod(comb((k >> x + 1).bit_count(), r) for k, r in need.items())
+                need[classes[x]] += 1
+        if not need[classes[v]]:
+            break
+        need[classes[v]] -= 1
+    return after
 
 
 def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:

@@ -215,8 +215,12 @@ def augmenting_search(
     vertex listed k times gains k units. Each unit comes from one BFS over
     alternating paths: from a left x to its unused live neighbours, from a
     full right vertex to its owners. It stops at a right vertex below b and
-    flips the path, which changes no other load on the left. restore returns
-    the new full mask, or -1 at the first BFS that finds no path.
+    flips the path, which changes no other load on the left. When the short
+    vertex itself has a live unused neighbour below b, the BFS would stop at
+    its first step, on the lowest such neighbour, so restore takes that
+    neighbour without building the search and the b-matching comes out the
+    same. restore returns the new full mask, or -1 at the first BFS that
+    finds no path.
 
     A failed search decides the instance. Let X be what the residual graph
     reaches from u+ without passing through s. t is not in X, and every arc
@@ -228,43 +232,45 @@ def augmenting_search(
 
     def restore(short: Iterable[int], used: list[int], owners: list[int], full: int, alive: int) -> int:
         for u in short:
-            via: dict[int, int] = {}  # right w -> the left vertex the BFS reached it from
-            came: dict[int, int] = {}  # left y -> the full right vertex it would give up
-            seen_left, seen_right = 1 << u, 0
-            queue = [u]
-            for x in queue:
-                reach = adj[x] & alive & ~used[x] & ~seen_right
-                free = reach & ~full
-                if free:
-                    w = (free & -free).bit_length() - 1
-                    owners[w] |= 1 << x
-                    if owners[w].bit_count() == b:
-                        full |= 1 << w
-                    used[x] |= 1 << w
-                    while x != u:  # x gives up the unit it was reached through
-                        w = came[x]
-                        used[x] ^= 1 << w
-                        owners[w] ^= 1 << x
-                        x = via[w]
-                        used[x] |= 1 << w
-                        owners[w] |= 1 << x
-                    break
-                seen_right |= reach
-                while reach:
-                    low = reach & -reach
-                    reach ^= low
-                    w = low.bit_length() - 1
-                    via[w] = x
-                    fresh = owners[w] & ~seen_left
-                    seen_left |= fresh
-                    while fresh:
-                        low = fresh & -fresh
-                        fresh ^= low
-                        y = low.bit_length() - 1
-                        came[y] = w
-                        queue.append(y)
-            else:  # the BFS ran out without reaching a right vertex below b
-                return -1
+            x, free = u, adj[u] & alive & ~used[u] & ~full
+            if not free:  # search past u's full neighbours
+                via: dict[int, int] = {}  # right w -> the left vertex the BFS reached it from
+                came: dict[int, int] = {}  # left y -> the full right vertex it would give up
+                seen_left, seen_right = 1 << u, 0
+                queue = [u]
+                for x in queue:
+                    reach = adj[x] & alive & ~used[x] & ~seen_right
+                    free = reach & ~full
+                    if free:
+                        break
+                    seen_right |= reach
+                    while reach:
+                        low = reach & -reach
+                        reach ^= low
+                        w = low.bit_length() - 1
+                        via[w] = x
+                        fresh = owners[w] & ~seen_left
+                        seen_left |= fresh
+                        while fresh:
+                            low = fresh & -fresh
+                            fresh ^= low
+                            y = low.bit_length() - 1
+                            came[y] = w
+                            queue.append(y)
+                else:  # the BFS ran out without reaching a right vertex below b
+                    return -1
+            w = (free & -free).bit_length() - 1
+            owners[w] |= 1 << x
+            if owners[w].bit_count() == b:
+                full |= 1 << w
+            used[x] |= 1 << w
+            while x != u:  # x gives up the unit it was reached through
+                w = came[x]
+                used[x] ^= 1 << w
+                owners[w] ^= 1 << x
+                x = via[w]
+                used[x] |= 1 << w
+                owners[w] |= 1 << x
         return full
 
     return restore

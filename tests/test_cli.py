@@ -147,6 +147,29 @@ def test_verify_theorem_refuses_large_exhaustive_order(tmp_path, capsys, monkeyp
     assert "cap of 7" in capsys.readouterr().err
 
 
+def test_verify_theorem_refuses_a_random_ensemble_above_the_cap(tmp_path, capsys, monkeypatch):
+    def never_run(config):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr(cli, "run_sweep", never_run)
+    config = tmp_path / "sweep.ini"
+    config.write_text(
+        "[params]\npairs = 1,1\n[random]\norders = 8\nprobabilities = 1/2\n"
+        "samples = 1000000000000\n"
+    )
+    assert main(["verify-theorem", str(config)]) == 3
+    assert "cap of 1000000" in capsys.readouterr().err
+
+
+def test_verify_theorem_refuses_a_repeated_random_order(tmp_path, capsys):
+    config = tmp_path / "sweep.ini"
+    config.write_text(
+        "[params]\npairs = 1,1\n[random]\norders = 8 8\nprobabilities = 1/2\nsamples = 3\n"
+    )
+    assert main(["verify-theorem", str(config)]) == 2
+    assert "random order 8 is listed more than once" in capsys.readouterr().err
+
+
 def test_gen_neighborhood_extremal_with_sidecar(tmp_path, capsys):
     out = tmp_path / "g.txt"
     code = main(

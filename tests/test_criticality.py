@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from fracfactor import (
+    GENERATED_KINDS,
     FactorParams,
+    InputError,
     ResourceLimitError,
     complete_graph,
     complete_multipartite_graph,
@@ -20,12 +23,12 @@ from fracfactor import (
     path_graph,
     random_graph,
 )
-from fracfactor.criticality import deletion_verdicts
+from fracfactor.criticality import deletion_verdicts, twin_classes
 from fracfactor.factor import double_cover
 from fracfactor.graphs import Graph
 from fracfactor.maxflow import feasible_flow
 
-from oracle import naive_deletion, naive_has_factor, naive_independent_sets
+from oracle import adjacency, naive_deletion, naive_has_factor, naive_independent_sets
 
 P11 = FactorParams(1, 1)
 
@@ -132,9 +135,9 @@ def test_first_failing_set_counts_the_failures_index(g, params):
     assert index == is_fractional_id_factor_critical(g, params).independent_sets_checked
     assert list(enumerate_independent_sets(g)).index(failing) + 1 == index
     verdicts = list(deletion_verdicts(g, params))
-    assert len(verdicts) != index
+    at = verdicts.index((failing, False))
+    assert any(len(ind) > len(failing) for ind, _ in verdicts[:at])
     if g is SEVEN:
-        at = verdicts.index((failing, False))
         assert any(len(ind) < len(failing) for ind, _ in verdicts[at + 1 :])
 
 
@@ -201,7 +204,110 @@ def test_deletion_verdicts_match_deleting_and_solving_at_larger_orders():
             decided += 1
             failed += not ok
     assert max(g.n for g, _ in cases) == 20
-    assert (decided, failed) == (4832, 25)
+    # 4,832 sets before twin reduction; the extremal families fell from 1,357 to 209
+    assert (decided, failed) == (3684, 25)
+
+
+def labeled_graphs(max_n):
+    """Every labeled graph with n <= max_n, by order, then edge mask."""
+    for n in range(max_n + 1):
+        slots = list(combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            yield Graph(n, [slot for i, slot in enumerate(slots) if (mask >> i) & 1])
+
+
+def test_twin_classes_examples():
+    assert twin_classes(complete_multipartite_graph((2, 2, 2)).adjacency_masks()) == [
+        0b000011, 0b000011, 0b001100, 0b001100, 0b110000, 0b110000
+    ]
+    assert twin_classes(complete_graph(4).adjacency_masks()) == [0b1111] * 4
+    assert twin_classes(path_graph(3).adjacency_masks()) == [0b101, 0b010, 0b101]
+    assert twin_classes(SEVEN.adjacency_masks())[5:] == [0b1100000, 0b1100000]
+
+
+def test_twin_classes_match_the_neighbourhoods():
+    # u joins v's class when N(u) = N(v) or N[u] = N[v], read off the oracle's sets
+    for g in labeled_graphs(5):
+        adj = adjacency(g.n, g.edges())
+        want = [
+            sum(1 << u for u in range(g.n) if adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v})
+            for v in range(g.n)
+        ]
+        assert twin_classes(g.adjacency_masks()) == want
+
+
+def test_only_canonical_sets_are_decided():
+    # each class is met in its lowest members; with no failure, every such set is decided
+    for g in labeled_graphs(5):
+        classes = twin_classes(g.adjacency_masks())
+        canonical = [
+            ind
+            for ind in enumerate_independent_sets(g)
+            if all(u in ind for v in ind for u in range(v) if (classes[v] >> u) & 1)
+        ]
+        verdicts = list(deletion_verdicts(g, P11))
+        assert [ind for ind, _ in verdicts if ind not in canonical] == []
+        if all(ok for _, ok in verdicts):
+            assert sorted(map(sorted, canonical)) == sorted(sorted(ind) for ind, _ in verdicts)
+
+
+def assert_index_is_the_unpruned_index(g, params):
+    failing, index = first_failing_set(g, params)
+    sets = enumerate_independent_sets(g)
+    if failing is None:
+        assert index == sum(1 for _ in sets)
+    else:
+        assert index == next(i for i, ind in enumerate(sets, start=1) if ind == failing)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 3)])
+def test_weighted_count_is_the_unpruned_index_on_every_small_graph(a, b):
+    params = FactorParams(a, b)
+    for g in labeled_graphs(6):
+        assert_index_is_the_unpruned_index(g, params)
+
+
+def test_weighted_count_is_the_unpruned_index_on_the_extremal_families():
+    pairs = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+    checked = 0
+    for build in GENERATED_KINDS.values():
+        for a, b in pairs:
+            for t in range(1, 7):
+                try:
+                    g = build(FactorParams(a, b), t)[0]
+                except InputError:  # the degree family needs b * t even
+                    continue
+                if g.n > 20:
+                    continue
+                for other in pairs:
+                    assert_index_is_the_unpruned_index(g, FactorParams(*other))
+                    checked += 1
+    assert checked == 27 * len(pairs)
+
+
+def test_the_extremal_families_decide_one_set_per_twin_orbit():
+    # The sharpness instances of order <= 20 timed by the benchmark decided
+    # 2,039 sets before twin reduction.
+    grid = {
+        neighborhood_extremal_graph: {(1, 1): range(1, 7), (1, 2): (1, 2, 3), (2, 2): (1, 2, 3)},
+        min_degree_extremal_graph: {(1, 1): (2, 4, 6), (1, 2): (2, 3, 4), (2, 2): (1, 2, 3)},
+    }
+    decided = [
+        sum(1 for _ in deletion_verdicts(build(FactorParams(a, b), t)[0], FactorParams(a, b)))
+        for build, pairs in grid.items()
+        for (a, b), ts in pairs.items()
+        for t in ts
+    ]
+    assert (len(decided), sum(decided)) == (21, 319)
+
+
+def test_twin_reduction_reaches_the_neighbourhood_family_past_the_cap():
+    # n = 41: 99,309 sets without twin reduction
+    params = FactorParams(2, 3)
+    g, labels = neighborhood_extremal_graph(params, 5)
+    verdicts = list(deletion_verdicts(g, params))
+    assert (g.n, len(verdicts)) == (41, 40)
+    assert [ind for ind, ok in verdicts if not ok][-1] == labels.part_map["btK1"]
 
 
 def test_failing_certificate_translates_back():

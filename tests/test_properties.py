@@ -176,9 +176,24 @@ def test_warm_started_deletion_verdicts_match_the_oracle(g, p):
     assert len(set(decided)) == len(decided)
     for ind, ok in verdicts:
         assert ok == naive_has_factor(*naive_deletion(g.n, edges, ind), p.a, p.b), sorted(ind)
-    # every set before the last failure in (size, lex) order is decided and
-    # feasible, so that failure is the first one
+    # every set before the last failure in (size, lex) order is feasible, and its
+    # canonical image was decided feasible, so that failure is the first one
     order = naive_independent_sets(g.n, edges)
     failures = [ind for ind, ok in verdicts if not ok]
     end = order.index(failures[-1]) if failures else len(order)
-    assert all(dict(verdicts).get(s) for s in order[:end])
+    for s in order[:end]:
+        assert dict(verdicts).get(canonical_image(g.n, edges, s)) is True, sorted(s)
+        assert naive_has_factor(*naive_deletion(g.n, edges, s), p.a, p.b), sorted(s)
+
+
+def canonical_image(n, edges, ind):
+    """ind with its members of each twin class moved onto that class's lowest vertices.
+
+    u and v are twins when N(u) = N(v) or N[u] = N[v].
+    """
+    adj = adjacency(n, edges)
+    image = set()
+    for v in ind:
+        twins = [u for u in range(n) if adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v}]
+        image.add(twins[sorted(u for u in ind if u in twins).index(v)])
+    return frozenset(image)

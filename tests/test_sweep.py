@@ -19,7 +19,12 @@ from fracfactor import (
     run_sweep,
     sweep,
 )
-from fracfactor.sweep import EXHAUSTIVE_ORDER_LIMIT, derive_seed
+from fracfactor.sweep import (
+    EXHAUSTIVE_ORDER_LIMIT,
+    RANDOM_INSTANCE_LIMIT,
+    _masks_with_min_degree,
+    derive_seed,
+)
 
 
 CONFIG_TEXT = """
@@ -153,6 +158,75 @@ def test_exhaustive_order_is_capped():
             parse_sweep_config(text.format(max_n))
         with pytest.raises(ResourceLimitError):
             SweepConfig(pairs=((1, 1),), exhaustive_max_n=max_n).validate()
+
+
+def random_config(orders, probabilities, samples):
+    return SweepConfig(
+        pairs=((1, 1),),
+        random_orders=orders,
+        random_probabilities=probabilities,
+        random_samples=samples,
+    )
+
+
+def test_random_ensemble_is_capped_before_any_work(monkeypatch):
+    def never_drawn(n, p, seed):
+        raise AssertionError("a graph was drawn before the config was refused")
+
+    monkeypatch.setattr(sweep, "random_graph", never_drawn)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    random_config((8, 9), (half,), RANDOM_INSTANCE_LIMIT // 2).validate()
+    for orders, probabilities, samples in [
+        ((8,), (half,), 10**12),
+        ((8, 9), (half,), RANDOM_INSTANCE_LIMIT // 2 + 1),
+        ((8, 9), (half, third), RANDOM_INSTANCE_LIMIT // 4 + 1),
+    ]:
+        with pytest.raises(ResourceLimitError, match="cap of 1000000"):
+            random_config(orders, probabilities, samples).validate()
+        with pytest.raises(ResourceLimitError):
+            run_sweep(random_config(orders, probabilities, samples))
+    text = CONFIG_TEXT.replace("samples = 5", "samples = 1000000000000")
+    assert text != CONFIG_TEXT
+    with pytest.raises(ResourceLimitError, match="cap of 1000000"):
+        parse_sweep_config(text)
+
+
+@pytest.mark.parametrize(
+    "orders, probabilities, message",
+    [
+        ((8, 8), (Fraction(1, 2),), "random order 8 is listed more than once"),
+        ((8, 9, 8), (Fraction(1, 2),), "random order 8 is listed more than once"),
+        ((8,), (Fraction(1, 2), Fraction(2, 4)), "random probability 1/2 is listed more"),
+    ],
+)
+def test_repeated_random_orders_and_probabilities_are_refused(orders, probabilities, message):
+    with pytest.raises(InputError, match=message):
+        random_config(orders, probabilities, 3).validate()
+
+
+def test_repeated_values_in_a_config_file_are_refused():
+    for old, new in [("orders = 6", "orders = 6 6"), ("= 1/2", "= 1/2 0.5")]:
+        text = CONFIG_TEXT.replace(old, new)
+        assert text != CONFIG_TEXT
+        with pytest.raises(InputError, match="listed more than once"):
+            parse_sweep_config(text)
+    # pairs are still deduplicated
+    config = parse_sweep_config(CONFIG_TEXT.replace("pairs = 1,1", "pairs = 1,1 1,1"))
+    assert len(run_sweep(config).summaries) == 1
+
+
+def test_masks_are_built_as_the_degree_filter_picks_them():
+    for n in range(7):
+        slots = list(combinations(range(n), 2))
+        incidence = [sum(1 << i for i, slot in enumerate(slots) if v in slot) for v in range(n)]
+        for floor in range(n):
+            picked = [
+                mask
+                for mask in range(1 << len(slots))
+                if all((mask & inc).bit_count() >= floor for inc in incidence)
+            ]
+            assert list(_masks_with_min_degree(n, floor)) == picked, (n, floor)
+    assert sum(1 for _ in _masks_with_min_degree(7, 4)) == 15796
 
 
 def test_derive_seed_is_stable():
