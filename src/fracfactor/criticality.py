@@ -138,9 +138,7 @@ def twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [groups[nbrs] | groups[nbrs | 1 << v] for v, nbrs in enumerate(adj)]
 
 
-def deletion_verdicts(
-    g: Graph, params: FactorParams, classes: list[int] | None = None
-) -> Iterator[tuple[frozenset[int], bool]]:
+def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozenset[int], bool]]:
     """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of canonical sets I.
 
     Each G - I is the b-matching of factor.augmenting_search with I's
@@ -167,8 +165,6 @@ def deletion_verdicts(
     the mask of such v outside its neighbourhood. The root's mask holds each
     class's lowest member; a child's drops v's neighbours and gains v's
     next-higher twin, unless that is a true twin, which neighbours v.
-    A caller that already holds twin_classes(g.adjacency_masks()) passes it
-    as classes.
 
     The child copies the parent's saturated b-matching and drops v's units
     in and out. Every sender that lost its unit into v (at most b of them)
@@ -182,8 +178,7 @@ def deletion_verdicts(
     n = g.n
     adj = g.adjacency_masks()
     restore = augmenting_search(adj, params.b)
-    if classes is None:
-        classes = twin_classes(adj)
+    classes = twin_classes(adj)
     above = [k & -(2 << v) for v, k in enumerate(classes)]  # each vertex's higher twins
     next_twin = [m & -m for m in above]
     smallest_failure = n + 1
@@ -243,7 +238,8 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
     - a set D of I's size with D <= I has its canonical set C <= D <= I,
       a decided set, so the sets of I's size up to I are the orbits of the
       decided sets of that size, less their members after I.
-    _orbit_after counts those members.
+    _orbit_after counts those members. A set meeting no twin class is its
+    orbit's only member, so at most I, and is counted without a Counter.
     """
     if g.n > DEFAULT_CRITICALITY_LIMIT:
         raise ResourceLimitError(
@@ -254,8 +250,8 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
     twinned = frozenset(v for v, k in enumerate(classes) if k != 1 << v)
     failing, by_size = None, [0] * (g.n + 1)
     shared: list[list[frozenset[int]]] = [[] for _ in by_size]  # sets meeting a twin class
-    for ind, ok in deletion_verdicts(g, params, classes):
-        orbit = 1
+    for ind, ok in deletion_verdicts(g, params):
+        orbit = 1  # a set meeting no twin class is its orbit's only member
         if not twinned.isdisjoint(ind):
             counts = Counter(classes[v] for v in ind)
             orbit = prod(comb(k.bit_count(), c) for k, c in counts.items())

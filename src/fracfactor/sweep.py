@@ -251,20 +251,25 @@ def _ensemble_size(config: SweepConfig) -> int:
     return size
 
 
-def _masks_with_min_degree(n: int, floor: int) -> Iterator[int]:
-    """The edge masks over combinations(range(n), 2) with minimum degree at least floor, increasing.
+def _masks_with_min_degree(
+    n: int, floor: int
+) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """(mask, edges) for each n-vertex edge mask of minimum degree >= floor, increasing.
 
-    Slot bits are decided from the highest slot down, 0 before 1, which
-    visits masks in increasing order. A 0 at slot uv costs u and v one of
-    the n - 1 - floor non-edges each can afford, and is refused when either
-    has none left. A 1 costs nothing, so every branch ends in a mask.
+    Bit i of a mask is slot i of combinations(range(n), 2), and edges lists
+    the slots the mask sets, in slot order. Slot bits are decided from the
+    highest slot down, 0 before 1, which visits masks in increasing order. A
+    0 at slot uv costs u and v one of the n - 1 - floor non-edges each can
+    afford, and is refused when either has none left. A 1 costs nothing, so
+    every branch ends in a mask.
     """
     slots = list(combinations(range(n), 2))
     spare = [n - 1 - floor] * n
+    edges: list[tuple[int, int]] = []  # the 1 slots decided so far, highest first
 
-    def fill(i: int, mask: int) -> Iterator[int]:
+    def fill(i: int, mask: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
         if i < 0:
-            yield mask
+            yield mask, edges[::-1]
             return
         u, v = slots[i]
         if spare[u] and spare[v]:
@@ -273,7 +278,9 @@ def _masks_with_min_degree(n: int, floor: int) -> Iterator[int]:
             yield from fill(i - 1, mask)
             spare[u] += 1
             spare[v] += 1
+        edges.append(slots[i])
         yield from fill(i - 1, mask | 1 << i)
+        edges.pop()
 
     return fill(len(slots) - 1, 0)
 
@@ -291,9 +298,7 @@ def _ensemble(config: SweepConfig, params: FactorParams) -> Iterator[tuple[str, 
             floor = _degree_floor(n, params)
             if floor is None:
                 continue
-            slots = list(combinations(range(n), 2))
-            for mask in _masks_with_min_degree(n, floor):
-                edges = [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
+            for mask, edges in _masks_with_min_degree(n, floor):
                 yield f"exhaustive/n={n}/mask={mask}", Graph(n, edges)
     for n in config.random_orders:
         for p in config.random_probabilities:

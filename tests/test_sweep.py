@@ -225,7 +225,10 @@ def test_masks_are_built_as_the_degree_filter_picks_them():
                 for mask in range(1 << len(slots))
                 if all((mask & inc).bit_count() >= floor for inc in incidence)
             ]
-            assert list(_masks_with_min_degree(n, floor)) == picked, (n, floor)
+            built = list(_masks_with_min_degree(n, floor))
+            assert [mask for mask, _ in built] == picked, (n, floor)
+            for mask, edges in built:
+                assert edges == [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
     assert sum(1 for _ in _masks_with_min_degree(7, 4)) == 15796
 
 
