@@ -197,7 +197,9 @@ def check_deletion_invariants(
     caller already holds it; it is evaluated here otherwise.
     """
     x = g.vertex_subset(ind_set)
-    if not g.is_independent(x):
+    masks = g.adjacency_masks()
+    x_mask = sum(1 << v for v in x)
+    if any(masks[v] & x_mask for v in x):
         raise InputError("the audited vertex set must be independent")
     report = check_criticality_conditions(g, params) if conditions is None else conditions
     if (report.n, report.a, report.b) != (g.n, params.a, params.b):
@@ -211,14 +213,14 @@ def check_deletion_invariants(
     size_margin = b * g.n - (a + 2 * b) * len(x)
     size_ok = size_margin >= 0
 
-    x_mask = sum(1 << v for v in x)
-    kept = [m for v, m in enumerate(g.adjacency_masks()) if not (x_mask >> v) & 1]
-    if not kept:
+    kept = ~x_mask
+    degrees = [(m & kept).bit_count() for v, m in enumerate(masks) if kept >> v & 1]
+    if not degrees:
         deleted_min_degree = None
         degree_ok = False
         degree_margin = None
     else:
-        deleted_min_degree = min((m & ~x_mask).bit_count() for m in kept)
+        deleted_min_degree = min(degrees)
         degree_margin = deleted_min_degree - a
         degree_ok = degree_margin >= 0
     return DeletionCheck(

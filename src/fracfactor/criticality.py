@@ -31,40 +31,58 @@ DEFAULT_CRITICALITY_LIMIT = 20
 def enumerate_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
     """Yield every independent set of g, by increasing size, then lexicographic.
 
+    Each size k is one walk of an explicit stack. An entry is a prefix and
+    its free mask: the vertices above the prefix's maximum that neighbour
+    none of its members. Expanding a prefix pushes, for each free vertex v,
+    the prefix plus v with the free vertices above v outside v's
+    neighbourhood, but only while that mask still holds as many vertices as
+    k still needs (a popcount test), so no prefix short of free vertices is
+    expanded; a prefix one short of k yields its sets straight off its free
+    mask. Children are pushed in reverse, so each size comes out in
+    lexicographic order. The stack holds the children of at most one
+    expansion per level, at most n entries per level: O(n^2) entries in
+    all, and no size level is buffered.
+
     Independence is hereditary, so once some size has no independent set no
     larger size can either; enumeration stops at the first empty level.
     """
     n = g.n
     masks = g.adjacency_masks()
-
-    def sized(prefix: list[int], start: int, forbidden: int, want: int) -> Iterator[frozenset[int]]:
-        if want == 0:
-            yield frozenset(prefix)
-            return
-        for v in range(start, n - want + 1):
-            if not (forbidden >> v) & 1:
-                prefix.append(v)
-                yield from sized(prefix, v + 1, forbidden | masks[v] | (1 << v), want - 1)
-                prefix.pop()
-
     yield frozenset()
     for size in range(1, n + 1):
         found = False
-        for s in sized([], 0, 0, size):
-            found = True
-            yield s
+        stack = [((), (1 << n) - 1)]
+        while stack:
+            prefix, free = stack.pop()
+            need = size - len(prefix)
+            if need == 1:
+                found = True
+                while free:
+                    low = free & -free
+                    free ^= low
+                    yield frozenset((*prefix, low.bit_length() - 1))
+                continue
+            children = []
+            while free.bit_count() >= need:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                child = free & ~masks[v]
+                if child.bit_count() >= need - 1:
+                    children.append(((*prefix, v), child))
+            stack += reversed(children)
         if not found:
             break
 
 
 def maximal_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
     """Independent sets that cover every vertex with their neighbours, in the same global order."""
-    masks = g.adjacency_masks()
+    closed = [m | 1 << v for v, m in enumerate(g.adjacency_masks())]
     everything = (1 << g.n) - 1
     for ind in enumerate_independent_sets(g):
         covered = 0
         for v in ind:
-            covered |= masks[v] | 1 << v
+            covered |= closed[v]
         if covered == everything:
             yield ind
 

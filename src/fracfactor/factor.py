@@ -88,7 +88,7 @@ class FractionalAssignment:
             u, v = key
             if u >= v:
                 raise InputError(f"assignment key ({u}, {v}) must satisfy u < v")
-            f = Fraction(val)
+            f = val if type(val) is Fraction else Fraction(val)
             if not 0 <= f <= 1:
                 raise InputError(f"edge value {f} for ({u}, {v}) outside [0, 1]")
             norm[(u, v)] = f

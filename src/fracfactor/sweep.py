@@ -43,8 +43,8 @@ from .graphs import Graph
 
 # Labeled graphs on up to 7 vertices: 2,131,019 of them. Only (1, 1) meets the
 # order bound below n = 8; its sweep builds the 17,681 that meet the degree
-# bound too, and takes about 4.5 s (CPython 3.11 on a 2-core Xeon), 0.2 s of
-# it building their masks. Order 8 alone adds 2^28 masks.
+# bound too, and takes about 3.7 s (CPython 3.11 on a 2-core Xeon), under
+# 0.1 s of it building their masks. Order 8 alone adds 2^28 masks.
 EXHAUSTIVE_ORDER_LIMIT = 7
 
 # Random graphs per pair (SweepConfig.random_instances).

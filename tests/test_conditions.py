@@ -141,6 +141,20 @@ def test_deletion_invariants_require_independence():
         check_deletion_invariants(g, P11, {0, 1})
 
 
+def test_deletion_invariants_refuse_out_of_range_vertices_first():
+    g = complete_multipartite_graph((2, 2, 2))
+    report = check_criticality_conditions(g, P11)
+    with pytest.raises(InputError, match=r"^vertex 6 out of range for 6 vertices$"):
+        check_deletion_invariants(g, P11, {g.n}, report)
+
+
+def test_deletion_invariants_check_independence_before_the_report():
+    g = complete_multipartite_graph((2, 2, 2))
+    other_pair = check_criticality_conditions(g, FactorParams(1, 2))
+    with pytest.raises(InputError, match=r"^the audited vertex set must be independent$"):
+        check_deletion_invariants(g, P11, {0, 2}, other_pair)
+
+
 def test_deletion_invariants_require_passing_conditions():
     with pytest.raises(InputError, match="conditions"):
         check_deletion_invariants(cycle_graph(6), P11, {0})

@@ -38,17 +38,24 @@ def test_enumeration_order_on_c4():
     assert got == [(), (0,), (1,), (2,), (3,), (0, 2), (1, 3)]
 
 
+def reference_graphs():
+    """Every labeled graph with n <= 5, seeded G(n, p) for n 6-16, and the deepest stack."""
+    yield from labeled_graphs(5)
+    yield cycle_graph(6)
+    yield Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    for n in range(6, 17):
+        for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            yield random_graph(n, p, seed=n)
+    yield empty_graph(12)  # 4,096 sets, every size down to the whole vertex set
+
+
 def test_enumeration_matches_reference():
-    graphs = [
-        path_graph(5),
-        cycle_graph(6),
-        complete_graph(4),
-        empty_graph(3),
-        Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4)]),
-    ]
-    for g in graphs:
-        got = [frozenset(s) for s in enumerate_independent_sets(g)]
-        assert got == naive_independent_sets(g.n, g.edges())
+    for g in reference_graphs():
+        want = naive_independent_sets(g.n, g.edges())
+        assert list(enumerate_independent_sets(g)) == want
+        adj = adjacency(g.n, g.edges())
+        maximal = [s for s in want if all(v in s or adj[v] & s for v in range(g.n))]
+        assert list(maximal_independent_sets(g)) == maximal
 
 
 def test_enumeration_includes_empty_set_only_for_complete():

@@ -300,6 +300,16 @@ def test_assignment_validates_values():
         FractionalAssignment({(0, 1): Fraction(3, 2)})
     with pytest.raises(InputError):
         FractionalAssignment({(1, 0): Fraction(1, 2)})
+    with pytest.raises(InputError, match="outside"):
+        FractionalAssignment({(0, 1): 1.5})
+
+
+def test_assignment_converts_ints_and_floats_and_keeps_fractions():
+    half = Fraction(1, 2)
+    h = FractionalAssignment({(0, 1): 1, (1, 2): 0.25, (2, 3): half})
+    assert h.values == {(0, 1): 1, (1, 2): Fraction(1, 4), (2, 3): half}
+    assert all(type(v) is Fraction for v in h.values.values())
+    assert h.values[(2, 3)] is half
 
 
 def test_validate_assignment_checks_keys_exactly():
