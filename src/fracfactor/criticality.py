@@ -156,14 +156,15 @@ def twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [groups[nbrs] | groups[nbrs | 1 << v] for v, nbrs in enumerate(adj)]
 
 
-def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozenset[int], bool]]:
-    """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of canonical sets I.
+def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, int, bool]]:
+    """Yield (I, orbit size, whether G - I has a fractional [a,b]-factor) over a DFS of canonical I.
 
-    Each G - I is the b-matching of factor.augmenting_search with I's
-    vertices masked out of alive: G - I has a fractional [a,b]-factor iff
-    every vertex outside I sends a units, and a failed search decides the
-    set infeasible (the proofs are in that function's docstring). The root
-    runs a searches per vertex, as has_fractional_factor does.
+    I is a vertex bitmask. Each G - I is the b-matching of
+    factor.augmenting_search with I's vertices masked out of alive: G - I
+    has a fractional [a,b]-factor iff every vertex outside I sends a units,
+    and a failed search decides the set infeasible (the proofs are in that
+    function's docstring). The root runs a searches per vertex, as
+    has_fractional_factor does.
 
     Only canonical sets are decided: those meeting each twin class K (see
     twin_classes) in its |I & K| lowest members. That loses nothing:
@@ -184,6 +185,13 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
     class's lowest member; a child's drops v's neighbours and gains v's
     next-higher twin, unless that is a true twin, which neighbours v.
 
+    The orbit size is the product over twin classes K of binom(|K|, |I & K|)
+    (|K| for a true-twin class, which I meets at most once). The root's is 1,
+    and a child's is its parent's times (|K| - c) / (c + 1), where K is v's
+    class and c = |I & K| before v joins: binom(|K|, c) * (|K| - c) =
+    binom(|K|, c + 1) * (c + 1), so the division is exact. A true-twin class
+    always has c = 0, so it multiplies by |K|.
+
     The child copies the parent's saturated b-matching and drops v's units
     in and out. Every sender that lost its unit into v (at most b of them)
     is then one short, and one restore call searches for each in turn,
@@ -199,44 +207,55 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[frozense
     classes = twin_classes(adj)
     above = [k & -(2 << v) for v, k in enumerate(classes)]  # each vertex's higher twins
     next_twin = [m & -m for m in above]
+    class_size = [k.bit_count() for k in classes]
     smallest_failure = n + 1
 
     def children(
-        ind: list[int], allowed: int, parent: tuple[list[int], list[int], int, int]
-    ) -> Iterator[tuple[frozenset[int], bool]]:
+        ind: int, orbit: int, allowed: int, parent: tuple[list[int], list[int], int, int]
+    ) -> Iterator[tuple[int, int, bool]]:
         nonlocal smallest_failure
         parent_used, parent_owners, parent_full, parent_alive = parent
-        while allowed and len(ind) + 1 < smallest_failure:
+        size = ind.bit_count() + 1
+        while allowed and size < smallest_failure:
             bit = allowed & -allowed
             allowed ^= bit
             v = bit.bit_length() - 1
             # Dropping v's units out only lowers loads; each sender into v is one short.
             used, owners = parent_used[:], parent_owners[:]
-            for w in mask_vertices(used[v]):
-                owners[w] ^= bit
-            senders = mask_vertices(owners[v])
-            for x in senders:
+            out = used[v]
+            while out:
+                low = out & -out
+                out ^= low
+                owners[low.bit_length() - 1] ^= bit
+            senders = []
+            into = owners[v]
+            while into:
+                low = into & -into
+                into ^= low
+                x = low.bit_length() - 1
                 used[x] ^= bit
+                senders.append(x)
             used[v] = owners[v] = 0
-            alive = parent_alive & ~bit
+            alive = parent_alive ^ bit
             full = restore(senders, used, owners, parent_full & ~parent_used[v] & ~bit, alive)
-            ind.append(v)
+            child = ind | bit
+            c = (ind & classes[v]).bit_count()
+            child_orbit = orbit * (class_size[v] - c) // (c + 1)
             ok = full >= 0
-            yield frozenset(ind), ok
+            yield child, child_orbit, ok
             if ok:
                 child_allowed = (allowed | next_twin[v]) & ~adj[v]
-                yield from children(ind, child_allowed, (used, owners, full, alive))
+                yield from children(child, child_orbit, child_allowed, (used, owners, full, alive))
             else:
-                smallest_failure = len(ind)
-            ind.pop()
+                smallest_failure = size
 
     used, owners, alive = [0] * n, [0] * n, (1 << n) - 1
     full = restore([*range(n)] * params.a, used, owners, 0, alive)  # all start a units short
     ok = full >= 0
-    yield frozenset(), ok
+    yield 0, 1, ok
     if ok:
         lowest = sum({k & -k for k in classes})  # each class's lowest member
-        yield from children([], lowest, (used, owners, full, alive))
+        yield from children(0, 1, lowest, (used, owners, full, alive))
 
 
 def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:
@@ -248,54 +267,52 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
 
     deletion_verdicts decides every canonical set smaller than I, every
     canonical set of I's size up to I, and no other set of I's size or
-    more. Each canonical set C stands for its orbit, whose size is the
-    product over twin classes K of binom(|K|, |C & K|) (|K| for a true-twin
-    class C meets, as C takes at most one of its members). Orbits partition
-    the independent sets, and each holds its own canonical set, so:
+    more. Each canonical set C stands for its orbit, whose size
+    deletion_verdicts yields with it. Orbits partition the independent
+    sets, and each holds its own canonical set, so:
     - the sets smaller than I are the orbits of the smaller decided sets;
     - a set D of I's size with D <= I has its canonical set C <= D <= I,
       a decided set, so the sets of I's size up to I are the orbits of the
       decided sets of that size, less their members after I.
-    _orbit_after counts those members. A set meeting no twin class is its
-    orbit's only member, so at most I, and is counted without a Counter.
+    _orbit_after counts those members. Only sets whose orbit exceeds 1 are
+    kept for it: an orbit of one is C itself, which is at most I. The twin
+    classes are computed again only when some set fails.
     """
     if g.n > DEFAULT_CRITICALITY_LIMIT:
         raise ResourceLimitError(
             f"criticality check over {g.n} vertices exceeds the cap of "
             f"{DEFAULT_CRITICALITY_LIMIT}"
         )
-    classes = twin_classes(g.adjacency_masks())
-    twinned = frozenset(v for v, k in enumerate(classes) if k != 1 << v)
     failing, by_size = None, [0] * (g.n + 1)
-    shared: list[list[frozenset[int]]] = [[] for _ in by_size]  # sets meeting a twin class
-    for ind, ok in deletion_verdicts(g, params):
-        orbit = 1  # a set meeting no twin class is its orbit's only member
-        if not twinned.isdisjoint(ind):
-            counts = Counter(classes[v] for v in ind)
-            orbit = prod(comb(k.bit_count(), c) for k, c in counts.items())
-            shared[len(ind)].append(ind)
-        by_size[len(ind)] += orbit
+    shared: list[list[int]] = [[] for _ in by_size]  # sets whose orbit has other members
+    for ind, orbit, ok in deletion_verdicts(g, params):
+        size = ind.bit_count()
+        by_size[size] += orbit
+        if orbit > 1:
+            shared[size].append(ind)
         if not ok:
             failing = ind
     if failing is None:
         return None, sum(by_size)
-    k = len(failing)
+    k = failing.bit_count()
+    classes = twin_classes(g.adjacency_masks())
     after = sum(_orbit_after(c, failing, classes) for c in shared[k])
-    return failing, sum(by_size[: k + 1]) - after
+    return frozenset(mask_vertices(failing)), sum(by_size[: k + 1]) - after
 
 
-def _orbit_after(c: frozenset[int], f: frozenset[int], classes: list[int]) -> int:
-    """How many sets of canonical set c's twin orbit come after f in lex order, |c| = |f|.
+def _orbit_after(c: int, f: int, classes: list[int]) -> int:
+    """How many sets of canonical set c's twin orbit come after f in lex order.
 
-    Such a set D agrees with f below some position j and has a larger j-th
-    member x. Taking f's first j members and then x leaves need[K] members
-    to pick from each class K, all above x: binom(|K above x|, need[K])
-    ways per class. Once f's first j members do not fit c's class counts,
-    no set of the orbit starts with them.
+    c and f are vertex bitmasks of one size. Such a set D agrees with f
+    below some position j and has a larger j-th member x. Taking f's first
+    j members and then x leaves need[K] members to pick from each class K,
+    all above x: binom(|K above x|, need[K]) ways per class. Once f's first
+    j members do not fit c's class counts, no set of the orbit starts with
+    them.
     """
-    need = Counter(classes[v] for v in c)
+    need = Counter(classes[v] for v in mask_vertices(c))
     after = 0
-    for v in sorted(f):
+    for v in mask_vertices(f):
         for x in range(v + 1, len(classes)):
             if need[classes[x]]:
                 need[classes[x]] -= 1

@@ -88,12 +88,6 @@ class Graph:
             raise InputError("neighborhood union takes two distinct vertices")
         return frozenset(mask_vertices(self._masks[u] | self._masks[v]))
 
-    def is_independent(self, vs: Iterable[int]) -> bool:
-        """True when no two vertices of vs are adjacent."""
-        s = self.vertex_subset(vs)
-        s_mask = sum(1 << v for v in s)
-        return all(not self._masks[v] & s_mask for v in s)
-
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor sets as bitmasks: bit v of entry u is set when uv is an edge."""
         return self._masks

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb, prod
 
 import pytest
 
@@ -141,11 +142,19 @@ def test_first_failing_set_counts_the_failures_index(g, params):
     failing, index = first_failing_set(g, params)
     assert index == is_fractional_id_factor_critical(g, params).independent_sets_checked
     assert list(enumerate_independent_sets(g)).index(failing) + 1 == index
-    verdicts = list(deletion_verdicts(g, params))
+    verdicts = decided_sets(g, params)
     at = verdicts.index((failing, False))
     assert any(len(ind) > len(failing) for ind, _ in verdicts[:at])
     if g is SEVEN:
         assert any(len(ind) < len(failing) for ind, _ in verdicts[at + 1 :])
+
+
+def decided_sets(g, params):
+    """deletion_verdicts as (I, verdict) pairs, each bitmask I turned back into a frozenset."""
+    return [
+        (frozenset(v for v in range(g.n) if ind >> v & 1), ok)
+        for ind, _, ok in deletion_verdicts(g, params)
+    ]
 
 
 def assert_verdicts_match_the_oracle(g, params, verdicts):
@@ -162,7 +171,7 @@ def test_a_restore_reroutes_through_a_full_right_vertex():
     # and 3 are full: the search goes 1 -> 2 -> 3 -> 1, handing 3's unit over
     # to the right copy of 1, which lost 0's unit.
     g = Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
-    verdicts = list(deletion_verdicts(g, P11))
+    verdicts = decided_sets(g, P11)
     assert (frozenset({0}), True) in verdicts
     assert_verdicts_match_the_oracle(g, P11, verdicts)
 
@@ -175,7 +184,7 @@ def test_a_later_unit_that_cannot_be_restored_decides_the_child():
     # is the star K_{1,3}, whose centre would need 3 > b.
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)])
     params = FactorParams(1, 2)
-    verdicts = list(deletion_verdicts(g, params))
+    verdicts = decided_sets(g, params)
     assert (frozenset({0}), False) in verdicts
     assert_verdicts_match_the_oracle(g, params, verdicts)
 
@@ -205,7 +214,7 @@ def test_deletion_verdicts_match_deleting_and_solving_at_larger_orders():
     ]
     decided = failed = 0
     for g, params in cases:
-        for ind, ok in deletion_verdicts(g, params):
+        for ind, ok in decided_sets(g, params):
             sub, _ = g.delete_vertices(ind)
             assert ok == (feasible_flow(*double_cover(sub.n, sub.edges(), params)) is not None)
             decided += 1
@@ -252,7 +261,7 @@ def test_only_canonical_sets_are_decided():
             for ind in enumerate_independent_sets(g)
             if all(u in ind for v in ind for u in range(v) if (classes[v] >> u) & 1)
         ]
-        verdicts = list(deletion_verdicts(g, P11))
+        verdicts = decided_sets(g, P11)
         assert [ind for ind, _ in verdicts if ind not in canonical] == []
         if all(ok for _, ok in verdicts):
             assert sorted(map(sorted, canonical)) == sorted(sorted(ind) for ind, _ in verdicts)
@@ -274,22 +283,73 @@ def test_weighted_count_is_the_unpruned_index_on_every_small_graph(a, b):
         assert_index_is_the_unpruned_index(g, params)
 
 
-def test_weighted_count_is_the_unpruned_index_on_the_extremal_families():
-    pairs = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
-    checked = 0
+PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+
+
+def extremal_instances():
+    """Both extremal families under each of PAIRS, t = 1-6, wherever the order is at most 20."""
     for build in GENERATED_KINDS.values():
-        for a, b in pairs:
+        for a, b in PAIRS:
             for t in range(1, 7):
                 try:
                     g = build(FactorParams(a, b), t)[0]
                 except InputError:  # the degree family needs b * t even
                     continue
-                if g.n > 20:
-                    continue
-                for other in pairs:
-                    assert_index_is_the_unpruned_index(g, FactorParams(*other))
-                    checked += 1
-    assert checked == 27 * len(pairs)
+                if g.n <= 20:
+                    yield g
+
+
+def test_weighted_count_is_the_unpruned_index_on_the_extremal_families():
+    checked = 0
+    for g in extremal_instances():
+        for other in PAIRS:
+            assert_index_is_the_unpruned_index(g, FactorParams(*other))
+            checked += 1
+    assert checked == 27 * len(PAIRS)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 3)])
+def test_orbit_sizes_match_an_independent_count(monkeypatch, a, b):
+    # Each orbit size first_failing_set reads is the product of binom(|K|, |I & K|)
+    # over twin classes K built here from the oracle's neighbourhood sets, and it
+    # hands _orbit_after only sets whose orbit has other members.
+    yielded, handed = [], []
+    real_verdicts, real_after = criticality.deletion_verdicts, criticality._orbit_after
+
+    def verdicts(g, params):
+        for triple in real_verdicts(g, params):
+            yielded.append(triple)
+            yield triple
+
+    def orbit_after(c, f, classes):
+        handed.append(c)
+        return real_after(c, f, classes)
+
+    monkeypatch.setattr(criticality, "deletion_verdicts", verdicts)
+    monkeypatch.setattr(criticality, "_orbit_after", orbit_after)
+    params = FactorParams(a, b)
+    critical = 0
+    for g in chain(labeled_graphs(6), extremal_instances()):
+        adj = adjacency(g.n, g.edges())
+        twins = {  # each vertex's class as a bitmask
+            sum(1 << u for u in adj if adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v})
+            for v in adj
+        }
+        classes = [k for k in twins if k.bit_count() > 1]  # a class of one adds a factor 1
+
+        def orbit_of(ind):
+            return prod(comb(k.bit_count(), (ind & k).bit_count()) for k in classes)
+
+        yielded.clear()
+        handed.clear()
+        failing, index = first_failing_set(g, params)
+        assert [orbit for _, orbit, _ in yielded] == [orbit_of(ind) for ind, _, _ in yielded]
+        assert all(orbit_of(c) > 1 for c in handed)
+        if failing is None:
+            total = sum(orbit for _, orbit, _ in yielded)
+            assert total == index == len(naive_independent_sets(g.n, g.edges()))
+            critical += 1
+    assert critical > 0
 
 
 def test_the_extremal_families_decide_one_set_per_twin_orbit():
@@ -300,7 +360,7 @@ def test_the_extremal_families_decide_one_set_per_twin_orbit():
         min_degree_extremal_graph: {(1, 1): (2, 4, 6), (1, 2): (2, 3, 4), (2, 2): (1, 2, 3)},
     }
     decided = [
-        sum(1 for _ in deletion_verdicts(build(FactorParams(a, b), t)[0], FactorParams(a, b)))
+        len(decided_sets(build(FactorParams(a, b), t)[0], FactorParams(a, b)))
         for build, pairs in grid.items()
         for (a, b), ts in pairs.items()
         for t in ts
@@ -312,7 +372,7 @@ def test_twin_reduction_reaches_the_neighbourhood_family_past_the_cap():
     # n = 41: 99,309 sets without twin reduction
     params = FactorParams(2, 3)
     g, labels = neighborhood_extremal_graph(params, 5)
-    verdicts = list(deletion_verdicts(g, params))
+    verdicts = decided_sets(g, params)
     assert (g.n, len(verdicts)) == (41, 40)
     assert [ind for ind, ok in verdicts if not ok][-1] == labels.part_map["btK1"]
 

@@ -100,13 +100,6 @@ def test_delete_vertices_reindexes():
     assert remap2 == {v: v for v in range(5)}
 
 
-def test_is_independent():
-    g = cycle_graph(4)
-    assert g.is_independent({0, 2})
-    assert not g.is_independent({0, 1})
-    assert g.is_independent(())
-
-
 def test_complete_multipartite():
     g = complete_multipartite_graph((1, 1, 2))
     assert g.n == 4

@@ -17,8 +17,6 @@ from fracfactor import (
     validate_assignment,
 )
 
-from fracfactor.criticality import deletion_verdicts
-
 from oracle import (
     adjacency,
     naive_deletion,
@@ -26,6 +24,7 @@ from oracle import (
     naive_independent_sets,
     naive_violation,
 )
+from test_criticality import decided_sets
 
 
 @st.composite
@@ -72,8 +71,6 @@ def test_graph_queries_match_a_set_model(case, data):
         for v in range(u + 1, n):
             assert g.has_edge(u, v) == (v in adj[u])
             assert g.neighborhood_union(u, v) == frozenset(adj[u] | adj[v])
-    vs = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1))) if n else set()
-    assert g.is_independent(vs) == all(v not in adj[u] for u in vs for v in vs)
     same = Graph(n, [(v, u) for u, v in data.draw(st.permutations(edges))])
     assert same == g and hash(same) == hash(g)
     if edges:
@@ -131,8 +128,9 @@ def test_feasibility_is_monotone_in_the_bounds(g, p, data):
 def test_independent_set_enumeration_matches_reference(g):
     got = list(enumerate_independent_sets(g))
     assert got == naive_independent_sets(g.n, g.edges())
+    adj = adjacency(g.n, g.edges())
     for s in got:
-        assert g.is_independent(s)
+        assert all(not adj[v] & s for v in s)
 
 
 @given(graphs(max_n=6), params(max_b=2))
@@ -171,7 +169,7 @@ def test_criticality_report_matches_deleting_every_set(g, p):
 @settings(deadline=None, max_examples=80)
 def test_warm_started_deletion_verdicts_match_the_oracle(g, p):
     edges = g.edges()
-    verdicts = list(deletion_verdicts(g, p))
+    verdicts = decided_sets(g, p)
     decided = [ind for ind, _ in verdicts]
     assert len(set(decided)) == len(decided)
     for ind, ok in verdicts:
