@@ -215,6 +215,8 @@ def _cmd_check_hypotheses(args: argparse.Namespace) -> int:
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     config = parse_sweep_config(_read_text(args.config))
+    if config.output_path:  # an unwritable path fails here, before any graph is examined
+        open(config.output_path, "a").close()
     result = run_sweep(config)
     payload = result.to_dict()
     lines = []
@@ -253,6 +255,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     payload: dict = {"command": "gen", "kind": args.kind}
     lines: list[str] = []
     if args.kind == KIND_RANDOM:
+        if args.verify:
+            raise InputError("--verify audits only the extremal kinds, not random graphs")
         _require(args, ["n", "p"])
         g = random_graph(args.n, parse_probability(args.p), args.seed)
         out.write_text(format_edge_list(g))

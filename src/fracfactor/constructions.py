@@ -164,8 +164,6 @@ def random_graph(n: int, p: Fraction | float, seed: int) -> Graph:
     if not isinstance(n, int) or n < 0:
         raise InputError(f"n must be a nonnegative integer, got {n!r}")
     require_order(n)
-    if isinstance(p, float):
-        p = Fraction(p)
     if not 0 <= p <= 1:
         raise InputError(f"edge probability must be in [0, 1], got {p}")
     # random() returns k / 2^53 for an integer k, so random() < p holds exactly

@@ -28,6 +28,14 @@ from .graphs import Graph, mask_vertices
 DEFAULT_CRITICALITY_LIMIT = 20
 
 
+def require_criticality_order(n: int) -> None:
+    """Refuse a criticality check over more than DEFAULT_CRITICALITY_LIMIT vertices."""
+    if n > DEFAULT_CRITICALITY_LIMIT:
+        raise ResourceLimitError(
+            f"criticality check over {n} vertices exceeds the cap of {DEFAULT_CRITICALITY_LIMIT}"
+        )
+
+
 def enumerate_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
     """Yield every independent set of g, by increasing size, then lexicographic.
 
@@ -278,11 +286,7 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
     kept for it: an orbit of one is C itself, which is at most I. The twin
     classes are computed again only when some set fails.
     """
-    if g.n > DEFAULT_CRITICALITY_LIMIT:
-        raise ResourceLimitError(
-            f"criticality check over {g.n} vertices exceeds the cap of "
-            f"{DEFAULT_CRITICALITY_LIMIT}"
-        )
+    require_criticality_order(g.n)
     failing, by_size = None, [0] * (g.n + 1)
     shared: list[list[int]] = [[] for _ in by_size]  # sets whose orbit has other members
     for ind, orbit, ok in deletion_verdicts(g, params):

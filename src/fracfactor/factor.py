@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Literal, Mapping, Union
 
 from .errors import InputError, ResourceLimitError
-from .graphs import Edge, Graph, content_lines, mask_vertices
+from .graphs import Edge, Graph, mask_vertices
 from .maxflow import Arc, feasible_flow
 
 DEFAULT_BRUTE_FORCE_LIMIT = 20
@@ -93,12 +93,6 @@ class FractionalAssignment:
                 raise InputError(f"edge value {f} for ({u}, {v}) outside [0, 1]")
             norm[(u, v)] = f
         object.__setattr__(self, "values", norm)
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.values.items()))
-
-    def is_half_integral(self) -> bool:
-        return all(val.denominator in (1, 2) for val in self.values.values())
 
     def vertex_sums(self, g: Graph) -> dict[int, Fraction]:
         sums = {v: Fraction(0) for v in range(g.n)}
@@ -356,8 +350,8 @@ def validate_assignment(
 
 # -- assignment text format ---------------------------------------------------
 #
-# One line per edge: "u v p/q" with the fraction in lowest terms. Comments
-# and blank lines follow the edge-list conventions.
+# One line per edge: "u v p/q" with the fraction in lowest terms. The library
+# writes this format and has no reader for it.
 
 
 def format_assignment(assignment: FractionalAssignment) -> str:
@@ -366,25 +360,3 @@ def format_assignment(assignment: FractionalAssignment) -> str:
         for (u, v), val in sorted(assignment.values.items())
     ]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_assignment(text: str) -> FractionalAssignment:
-    values: dict[Edge, Fraction] = {}
-    problems: list[str] = []
-    for lineno, tok in content_lines(text):
-        if len(tok) != 3:
-            problems.append(f"line {lineno}: expected 'u v p/q'")
-            continue
-        try:
-            u, v = int(tok[0]), int(tok[1])
-            val = Fraction(tok[2])
-        except (ValueError, ZeroDivisionError):
-            problems.append(f"line {lineno}: malformed edge value line")
-            continue
-        if (u, v) in values:
-            problems.append(f"line {lineno}: duplicate edge ({u}, {v})")
-            continue
-        values[(u, v)] = val
-    if problems:
-        raise InputError("\n".join(problems))
-    return FractionalAssignment(values)

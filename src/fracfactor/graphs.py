@@ -59,15 +59,6 @@ class Graph:
             for v in mask_vertices(mask >> (u + 1) << (u + 1))
         ]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool((self._masks[u] >> v) & 1)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return frozenset(mask_vertices(self._masks[v]))
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return self._masks[v].bit_count()
@@ -79,14 +70,6 @@ class Graph:
         if self.n == 0:
             raise InputError("minimum degree is undefined for a graph with no vertices")
         return min(self.degrees())
-
-    def neighborhood_union(self, u: int, v: int) -> frozenset[int]:
-        """N(u) | N(v) for two distinct vertices."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise InputError("neighborhood union takes two distinct vertices")
-        return frozenset(mask_vertices(self._masks[u] | self._masks[v]))
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Neighbor sets as bitmasks: bit v of entry u is set when uv is an edge."""

@@ -32,9 +32,9 @@ from .conditions import (
     order_condition_holds,
 )
 from .criticality import (
-    DEFAULT_CRITICALITY_LIMIT,
     is_fractional_id_factor_critical,
     maximal_independent_sets,
+    require_criticality_order,
 )
 from .constructions import parse_probability, random_graph
 from .errors import InputError, ResourceLimitError
@@ -106,12 +106,7 @@ class SweepConfig:
                     f"{EXHAUSTIVE_ORDER_LIMIT}"
                 )
             orders.append(self.exhaustive_max_n)
-        top = max(orders)
-        if top > DEFAULT_CRITICALITY_LIMIT:
-            raise InputError(
-                f"ensemble reaches order {top}, above the criticality cap "
-                f"{DEFAULT_CRITICALITY_LIMIT}"
-            )
+        require_criticality_order(max(orders))
 
 
 def parse_sweep_config(text: str) -> SweepConfig:

@@ -161,6 +161,49 @@ def test_verify_theorem_refuses_a_random_ensemble_above_the_cap(tmp_path, capsys
     assert "cap of 1000000" in capsys.readouterr().err
 
 
+def test_verify_theorem_refuses_orders_above_the_criticality_cap(tmp_path, capsys, monkeypatch):
+    def never_run(config):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr(cli, "run_sweep", never_run)
+    config = tmp_path / "sweep.ini"
+    config.write_text(
+        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 1/2\nsamples = 1\n"
+    )
+    assert main(["verify-theorem", str(config)]) == 3
+    assert "criticality check over 21 vertices exceeds the cap of 20" in capsys.readouterr().err
+
+
+def test_verify_theorem_refuses_an_unwritable_output_path_before_sweeping(
+    tmp_path, capsys, monkeypatch
+):
+    def never_checked(g, params):
+        raise AssertionError("a graph was checked before the output path was opened")
+
+    monkeypatch.setattr(sweep, "check_criticality_conditions", never_checked)
+    config = tmp_path / "sweep.ini"
+    config.write_text(
+        "[params]\npairs = 1,1\n[exhaustive]\nmax_n = 6\n"
+        f"[output]\npath = {tmp_path / 'missing' / 'report.json'}\n"
+    )
+    assert main(["verify-theorem", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "report.json" in err
+
+
+def test_verify_theorem_replaces_an_existing_report(tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    report_path.write_text("stale contents that run longer than the report itself\n" * 100)
+    config = tmp_path / "sweep.ini"
+    config.write_text(
+        f"[params]\npairs = 1,1\n[exhaustive]\nmax_n = 4\n[output]\npath = {report_path}\n"
+    )
+    assert main(["verify-theorem", str(config)]) == 0
+    capsys.readouterr()
+    assert json.loads(report_path.read_text())["counterexamples"] == 0
+
+
 def test_verify_theorem_refuses_a_repeated_random_order(tmp_path, capsys):
     config = tmp_path / "sweep.ini"
     config.write_text(
@@ -206,6 +249,13 @@ def test_gen_random_is_reproducible(tmp_path, capsys):
     assert main(["--seed", "8", "gen", "random", "-n", "8", "-p", "1/2", "-o", str(out3)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() != out3.read_bytes()
+
+
+def test_gen_random_refuses_verify(tmp_path, capsys):
+    out = tmp_path / "r.txt"
+    assert main(["gen", "random", "-n", "5", "-p", "1/2", "-o", str(out), "--verify"]) == 2
+    assert "--verify audits only the extremal kinds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_orders_above_the_maximum_exit_3(tmp_path, capsys, monkeypatch):

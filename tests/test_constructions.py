@@ -37,7 +37,7 @@ def test_neighborhood_family_smallest_instance():
         "bt1K1": frozenset({2, 3}),
     }
     # complete tripartite: parts independent, everything else joined
-    assert not g.has_edge(2, 3)
+    assert not (g.adjacency_masks()[2] >> 3) & 1
     assert g.m == 5
     assert g.min_degree() == 2
 
@@ -55,8 +55,9 @@ def test_neighborhood_family_worst_union_is_exact():
         g, labels = neighborhood_extremal_graph(params, t)
         part = sorted(labels.part_map["bt1K1"])
         u, v = part[0], part[1]
-        assert not g.has_edge(u, v)
-        assert len(g.neighborhood_union(u, v)) == (a + b) * t
+        masks = g.adjacency_masks()
+        assert not (masks[u] >> v) & 1
+        assert (masks[u] | masks[v]).bit_count() == (a + b) * t
         report = check_criticality_conditions(g, params)
         assert report.worst_union_size == (a + b) * t
         assert not report.neighborhood_ok
@@ -90,10 +91,11 @@ def test_degree_family_structure():
     assert labels.part_map["K2s"] == frozenset({3, 4})
     assert labels.part_map["u"] == frozenset({5})
     assert labels.markers["x"] == frozenset({2})
+    masks = g.adjacency_masks()
     # the matched pair inside the K2 block
-    assert g.has_edge(3, 4)
+    assert (masks[3] >> 4) & 1
     # u reaches the first block and its a-1 designated vertices only
-    assert g.neighbors(5) == frozenset({0, 1, 2})
+    assert masks[5] == 0b111
     assert g.min_degree() == 2 * 1 + 2 - 1
 
 
@@ -205,6 +207,12 @@ def test_random_graph_rejects_bad_probability():
         random_graph(4, Fraction(3, 2), seed=0)
     with pytest.raises(InputError):
         random_graph(-1, Fraction(1, 2), seed=0)
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_random_graph_refuses_non_finite_floats(p):
+    with pytest.raises(InputError, match="edge probability"):
+        random_graph(4, p, seed=0)
 
 
 # -- sharpness audits ---------------------------------------------------------

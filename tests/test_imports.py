@@ -1,8 +1,9 @@
 """Import rules checked with stdlib ast, no linter.
 
 Every name a fracfactor module imports is used there, every module-level
-_private function or class is referenced there, and the reference oracle
-imports nothing from fracfactor.
+_private function or class is referenced there, every public method or
+property of a class is read as an attribute somewhere in the library or the
+bench, and the reference oracle imports nothing from fracfactor.
 """
 
 import ast
@@ -14,6 +15,7 @@ import fracfactor
 
 MODULES = sorted(Path(fracfactor.__file__).parent.glob("*.py"))
 ORACLE = Path(__file__).with_name("oracle.py")
+BENCH = sorted(Path(__file__).resolve().parents[1].joinpath("bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,6 +86,47 @@ def test_dead_helpers_are_found():
         "def public():\n    return _used()\n"
     )
     assert dead_helpers(source) == ["line 3: _recursive", "line 5: _Unused"]
+
+
+def unused_methods(source: str, readers: list[str]) -> list[str]:
+    """Public methods and properties of source's classes that no reader names as `.name`."""
+    read = {
+        node.attr
+        for text in readers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute)
+    }
+    return [
+        f"line {item.lineno}: {cls.name}.{item.name}"
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and item.name not in read
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_methods_only_tests_call(path):
+    readers = [p.read_text(encoding="utf-8") for p in MODULES + BENCH]
+    assert unused_methods(path.read_text(encoding="utf-8"), readers) == []
+
+
+def test_unused_methods_are_found():
+    source = (
+        "class Shape:\n"
+        "    def area(self):\n        return self._side() ** 2\n"
+        "    def _side(self):\n        return 1\n"
+        "    def __hash__(self):\n        return 0\n"
+        "    @property\n    def corners(self):\n        return 4\n"
+        "    def planted(self):\n        return None\n"
+        "def public(shape):\n    return shape.area()\n"
+    )
+    reader = "def corners(shape):\n    return shape.corners\n"
+    assert unused_methods(source, [source, reader]) == ["line 11: Shape.planted"]
+    assert unused_methods(source, [source]) == ["line 9: Shape.corners", "line 11: Shape.planted"]
+    assert len(BENCH) >= 4
 
 
 def library_imports(source: str) -> list[str]:

@@ -100,7 +100,7 @@ def test_config_rejects_orders_above_cap():
         random_probabilities=(Fraction(1, 2),),
         random_samples=1,
     )
-    with pytest.raises(InputError, match="cap"):
+    with pytest.raises(ResourceLimitError, match="cap of 20"):
         config.validate()
 
 
