@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Literal, Mapping, Union
 
 from .errors import InputError, ResourceLimitError
@@ -95,11 +96,14 @@ class FractionalAssignment:
         object.__setattr__(self, "values", norm)
 
     def vertex_sums(self, g: Graph) -> dict[int, Fraction]:
-        sums = {v: Fraction(0) for v in range(g.n)}
+        """Each vertex's weight sum, added up on integers over the values' common denominator."""
+        common = lcm(*{val.denominator for val in self.values.values()})
+        sums = [0] * g.n
         for (u, v), val in self.values.items():
-            sums[u] += val
-            sums[v] += val
-        return sums
+            scaled = val.numerator * (common // val.denominator)
+            sums[u] += scaled
+            sums[v] += scaled
+        return {v: Fraction(total, common) for v, total in enumerate(sums)}
 
 
 @dataclass(frozen=True)
@@ -206,65 +210,101 @@ def augmenting_search(
     full marks a right vertex at load b; alive masks the vertices taking part.
     restore(short, used, owners, full, alive) gives each left vertex listed
     in short one more unit, in order, updating used and owners in place; a
-    vertex listed k times gains k units. Each unit comes from one BFS over
-    alternating paths: from a left x to its unused live neighbours, from a
-    full right vertex to its owners. It stops at a right vertex below b and
-    flips the path, which changes no other load on the left. When the short
-    vertex itself has a live unused neighbour below b, the BFS would stop at
-    its first step, on the lowest such neighbour, so restore takes that
-    neighbour without building the search and the b-matching comes out the
-    same. restore returns the new full mask, or -1 at the first BFS that
-    finds no path.
+    vertex listed k times gains k units. When the short vertex u has a live
+    unused neighbour below b, restore takes the lowest one. Otherwise the
+    unit comes from a breadth-first search over alternating paths, one left
+    layer at a time, on masks. Layer 0 is u. A layer reaches the live right
+    vertices, not reached before, that one of its members sends no unit to;
+    the next layer is the owners of those that are full, less the left
+    vertices seen before. Only each layer's (left mask, reached right mask)
+    is kept. The goals are the live right vertices below b. The search stops
+    at the first layer with an unused edge to a goal. When the goals are no
+    more than u's full neighbours, it tests each layer as it is built
+    against the senders: the union over goals w of adj[w] & ~owners[w],
+    which by symmetry of adjacency holds every left y with w in
+    adj[y] & ~used[y]. Otherwise it tests the goals against what each layer
+    reaches. A search fails when a layer adds no new left vertex.
+
+    The path is flipped backwards from the layer that met a goal, with no
+    record of parents. Its vertex x in layer k + 1 owns some w in what
+    layer k reached: x joined as an owner, and the flip has only added to
+    x's units before this step. x gives w up, and w goes to a member of
+    adj[w] & ~owners[w] & layer k. That set is not empty, because layer k
+    reached w, and neither w's owners nor layer k's units have changed
+    since. The flip changes no load but the goal's. restore returns the new
+    full mask, or -1 at the first search that fails.
 
     A failed search decides the instance. Let X be what the residual graph
     reaches from u+ without passing through s. t is not in X, and every arc
     leaving X for a node other than s is saturated. An augmenting path never
     returns to s, so none enters X, and none changes an arc leaving X.
     s -> u+ stays unsaturated in every later flow, so the max-flow is below
-    a times the number of live vertices.
+    a times the number of live vertices. Conversely, if a flow f* saturates
+    every arc out of s, then f* - f, taken in the residual graph of the
+    current flow f, uses no arc into s and carries a unit out of u+, which
+    it takes to t. So the search from u succeeds whichever paths earlier
+    searches flipped: no verdict depends on the path chosen.
     """
 
     def restore(short: Iterable[int], used: list[int], owners: list[int], full: int, alive: int) -> int:
         for u in short:
             x, free = u, adj[u] & alive & ~used[u] & ~full
-            if not free:  # search past u's full neighbours
-                via: dict[int, int] = {}  # right w -> the left vertex the BFS reached it from
-                came: dict[int, int] = {}  # left y -> the full right vertex it would give up
-                seen_left, seen_right = 1 << u, 0
-                queue = [u]
-                for x in queue:
-                    reach = adj[x] & alive & ~used[x] & ~seen_right
-                    free = reach & ~full
-                    if free:
-                        break
-                    seen_right |= reach
+            if not free:  # search past u's full neighbours, one left layer at a time
+                goal = alive & ~full  # the right vertices below b
+                layer = seen_left = 1 << u
+                reach = seen_right = adj[u] & alive & ~used[u]
+                senders = 0  # when the goals are few: the left vertices with an unused edge to one
+                if goal.bit_count() <= reach.bit_count():
+                    rest = goal
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        w = low.bit_length() - 1
+                        senders |= adj[w] & ~owners[w]
+                layers = []  # (left layer, the full right vertices it reached first)
+                while True:
+                    layers.append((layer, reach))
+                    layer = 0
                     while reach:
                         low = reach & -reach
                         reach ^= low
-                        w = low.bit_length() - 1
-                        via[w] = x
-                        fresh = owners[w] & ~seen_left
-                        seen_left |= fresh
-                        while fresh:
-                            low = fresh & -fresh
-                            fresh ^= low
-                            y = low.bit_length() - 1
-                            came[y] = w
-                            queue.append(y)
-                else:  # the BFS ran out without reaching a right vertex below b
-                    return -1
+                        layer |= owners[low.bit_length() - 1]
+                        if layer & senders:  # the rest of the layer is not needed
+                            x = ((low := layer & senders) & -low).bit_length() - 1
+                            free = adj[x] & ~used[x] & goal
+                            break
+                    if free:
+                        break
+                    layer &= ~seen_left
+                    if not layer:  # the search ran out without reaching a right vertex below b
+                        return -1
+                    seen_left |= layer
+                    rest = layer
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        y = low.bit_length() - 1
+                        reach |= adj[y] & ~used[y]
+                    reach &= alive & ~seen_right
+                    free = reach & goal
+                    if free:
+                        w = (free & -free).bit_length() - 1
+                        x = ((low := adj[w] & ~owners[w] & layer) & -low).bit_length() - 1
+                        break
+                    seen_right |= reach
+                y = x
+                for layer, reach in reversed(layers):  # y gives up a unit it was reached through
+                    w = ((low := used[y] & reach) & -low).bit_length() - 1
+                    used[y] ^= 1 << w
+                    owners[w] ^= 1 << y
+                    y = ((low := adj[w] & ~owners[w] & layer) & -low).bit_length() - 1
+                    used[y] |= 1 << w
+                    owners[w] |= 1 << y
             w = (free & -free).bit_length() - 1
             owners[w] |= 1 << x
             if owners[w].bit_count() == b:
                 full |= 1 << w
             used[x] |= 1 << w
-            while x != u:  # x gives up the unit it was reached through
-                w = came[x]
-                used[x] ^= 1 << w
-                owners[w] ^= 1 << x
-                x = via[w]
-                used[x] |= 1 << w
-                owners[w] |= 1 << x
         return full
 
     return restore

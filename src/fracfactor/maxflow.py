@@ -38,46 +38,50 @@ class Dinic:
         return eid
 
     def _levels(self, s: int, t: int) -> list[int] | None:
+        head, to, cap = self.head, self.to, self.cap
         level = [-1] * self.n
         level[s] = 0
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for eid in self.head[v]:
-                w = self.to[eid]
-                if self.cap[eid] > 0 and level[w] < 0:
-                    level[w] = level[v] + 1
+            deeper = level[v] + 1
+            for eid in head[v]:
+                w = to[eid]
+                if cap[eid] > 0 and level[w] < 0:
+                    level[w] = deeper
                     queue.append(w)
         return level if level[t] >= 0 else None
 
     def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
         # Walk one s-t path in the level graph (iterative, so deep networks
         # cannot hit the recursion limit), push the bottleneck, return it.
+        head, to, cap = self.head, self.to, self.cap
         path: list[int] = []
         v = s
         while True:
             if v == t:
-                pushed = min(self.cap[eid] for eid in path)
+                pushed = min(cap[eid] for eid in path)
                 for eid in path:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
+                    cap[eid] -= pushed
+                    cap[eid ^ 1] += pushed
                 return pushed
-            advanced = False
-            while it[v] < len(self.head[v]):
-                eid = self.head[v][it[v]]
-                w = self.to[eid]
-                if self.cap[eid] > 0 and level[w] == level[v] + 1:
+            arcs = head[v]
+            deeper = level[v] + 1
+            for i in range(it[v], len(arcs)):
+                eid = arcs[i]
+                w = to[eid]
+                if cap[eid] > 0 and level[w] == deeper:
+                    it[v] = i
                     path.append(eid)
                     v = w
-                    advanced = True
                     break
-                it[v] += 1
-            if not advanced:
+            else:
+                it[v] = len(arcs)
                 level[v] = -1
                 if not path:
                     return 0
                 eid = path.pop()
-                v = self.to[eid ^ 1]
+                v = to[eid ^ 1]
                 it[v] += 1
 
     def max_flow(self, s: int, t: int) -> int:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import pytest
 
@@ -12,6 +12,7 @@ from fracfactor import (
     ViolationCertificate,
     complete_graph,
     complete_multipartite_graph,
+    criticality,
     cycle_graph,
     delta_st,
     empty_graph,
@@ -275,6 +276,99 @@ def test_has_fractional_factor_matches_the_oracle_on_random_graphs(n):
             ), (n, p, a, b)
 
 
+# -- b-matching search ---------------------------------------------------------
+
+
+def b_matching(n: int, units, b: int) -> tuple[list[int], list[int], int]:
+    """used, owners and full for the units (left x, right w) of a b-matching on n vertices."""
+    used, owners = [0] * n, [0] * n
+    for x, w in units:
+        used[x] |= 1 << w
+        owners[w] |= 1 << x
+    return used, owners, sum(1 << w for w in range(n) if owners[w].bit_count() == b)
+
+
+# 0 is short, and its only way out is 0 -> 1 <- 2 -> 3 <- 4 -> 5 <- 6 -> 7
+CHAIN = [(2, 1), (4, 3), (6, 5)]
+
+
+@pytest.mark.parametrize(
+    "others",
+    [[], [(1, 0), (3, 2), (5, 4), (7, 6)]],
+    # each layer's reach meets the goals, or each layer meets their senders
+    ids=["many-goals", "one-goal"],
+)
+def test_restore_flips_the_one_path_across_four_left_layers(others):
+    used, owners, full = b_matching(8, CHAIN + others, 1)
+    restore = factor.augmenting_search(path_graph(8).adjacency_masks(), 1)
+    got = restore([0], used, owners, full, (1 << 8) - 1)
+    want_used, want_owners, want_full = b_matching(8, [(0, 1), (2, 3), (4, 5), (6, 7)] + others, 1)
+    assert (used, owners, got) == (want_used, want_owners, want_full)
+
+
+@pytest.mark.parametrize(
+    "g, others",
+    [
+        (Graph(8, [(v, v + 1) for v in range(6)]), []),  # the path 0..7 less its edge 67
+        (path_graph(7), [(1, 0), (3, 2), (5, 4)]),  # the one-goal case less vertex 7
+    ],
+    ids=["many-goals", "one-goal"],
+)
+def test_restore_fails_without_the_paths_last_edge_and_changes_nothing(g, others):
+    used, owners, full = b_matching(g.n, CHAIN + others, 1)
+    before = used[:], owners[:]
+    restore = factor.augmenting_search(g.adjacency_masks(), 1)
+    assert restore([0], used, owners, full, (1 << g.n) - 1) == -1
+    assert (used, owners) == before
+
+
+def check_b_matching(adj, a: int, b: int, used, owners, full: int, alive: int) -> None:
+    n = len(adj)
+    mirror = [0] * n
+    for w, senders in enumerate(owners):
+        for x in range(n):
+            if senders >> x & 1:
+                mirror[x] |= 1 << w
+    assert mirror == used  # used and owners record the same units
+    for v in range(n):
+        if alive >> v & 1:
+            assert used[v] & ~(adj[v] & alive) == 0  # units only on live edges
+            assert used[v].bit_count() == a
+        else:
+            assert used[v] == owners[v] == 0
+    assert max(m.bit_count() for m in owners) <= b
+    assert full == sum(1 << w for w in range(n) if owners[w].bit_count() == b)
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 2), (2, 3)])
+def test_every_successful_restore_in_the_deletion_search_leaves_a_saturated_b_matching(
+    monkeypatch, a, b
+):
+    checked = 0
+
+    def checked_search(adj, b):
+        restore = factor.augmenting_search(adj, b)
+
+        def checked_restore(short, used, owners, full, alive):
+            nonlocal checked
+            full = restore(short, used, owners, full, alive)
+            if full >= 0:
+                check_b_matching(adj, a, b, used, owners, full, alive)
+                checked += 1
+            return full
+
+        return checked_restore
+
+    monkeypatch.setattr(criticality, "augmenting_search", checked_search)
+    params = FactorParams(a, b)
+    for n in range(8, 41, 4):
+        for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            g = random_graph(n, p, 1000 * n + p.denominator)
+            for _ in islice(criticality.deletion_verdicts(g, params), 150):
+                pass
+    assert checked > 1000
+
+
 def test_witness_flow_that_contradicts_the_search_is_a_bug(monkeypatch):
     monkeypatch.setattr(factor, "feasible_flow", lambda *args: None)
     with pytest.raises(RuntimeError, match="disagree"):
@@ -309,6 +403,17 @@ def test_assignment_converts_ints_and_floats_and_keeps_fractions():
     assert h.values == {(0, 1): 1, (1, 2): Fraction(1, 4), (2, 3): half}
     assert all(type(v) is Fraction for v in h.values.values())
     assert h.values[(2, 3)] is half
+
+
+def test_vertex_sums_over_mixed_denominators_match_fraction_sums():
+    g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (0, 4)])  # vertex 5 is isolated
+    weights = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2, 3), 0, Fraction(1, 6)]
+    values = dict(zip(g.edges(), weights))
+    reference = {v: sum((x for e, x in values.items() if v in e), Fraction(0)) for v in range(g.n)}
+    sums = FractionalAssignment(values).vertex_sums(g)
+    assert sums == reference
+    assert all(type(total) is Fraction for total in sums.values())
+    assert FractionalAssignment().vertex_sums(empty_graph(2)) == {0: 0, 1: 0}
 
 
 def test_validate_assignment_checks_keys_exactly():
