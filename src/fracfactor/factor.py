@@ -217,19 +217,18 @@ def augmenting_search(
     vertices, not reached before, that one of its members sends no unit to;
     the next layer is the owners of those that are full, less the left
     vertices seen before. Only each layer's (left mask, reached right mask)
-    is kept. The goals are the live right vertices below b. The search stops
-    at the first layer with an unused edge to a goal. When the goals are no
-    more than u's full neighbours, it tests each layer as it is built
-    against the senders: the union over goals w of adj[w] & ~owners[w],
-    which by symmetry of adjacency holds every left y with w in
-    adj[y] & ~used[y]. Otherwise it tests the goals against what each layer
-    reaches. A search fails when a layer adds no new left vertex.
+    is kept. The goals are the live right vertices below b, and the senders
+    are the union over goals w of adj[w] & ~owners[w], which by symmetry of
+    adjacency holds every left y with w in adj[y] & ~used[y]. Each layer is
+    tested against the senders as it is built, and the search stops at the
+    first sender it meets. A search fails when a layer adds no new left
+    vertex.
 
-    The path is flipped backwards from the layer that met a goal, with no
-    record of parents. Its vertex x in layer k + 1 owns some w in what
-    layer k reached: x joined as an owner, and the flip has only added to
-    x's units before this step. x gives w up, and w goes to a member of
-    adj[w] & ~owners[w] & layer k. That set is not empty, because layer k
+    The sender x that stopped the search takes a unit to one of its goals,
+    and the path to x is flipped backwards, with no record of parents. Its
+    vertex y in layer k + 1 owns some w in what layer k reached: y joined as
+    an owner, and the flip has only added to y's units before this step. y
+    gives w up, and w goes to a member of adj[w] & ~owners[w] & layer k. That set is not empty, because layer k
     reached w, and neither w's owners nor layer k's units have changed
     since. The flip changes no load but the goal's. restore returns the new
     full mask, or -1 at the first search that fails.
@@ -251,16 +250,15 @@ def augmenting_search(
             x, free = u, adj[u] & alive & ~used[u] & ~full
             if not free:  # search past u's full neighbours, one left layer at a time
                 goal = alive & ~full  # the right vertices below b
+                senders = 0  # the left vertices with an unused edge to a goal
+                rest = goal
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    w = low.bit_length() - 1
+                    senders |= adj[w] & ~owners[w]
                 layer = seen_left = 1 << u
                 reach = seen_right = adj[u] & alive & ~used[u]
-                senders = 0  # when the goals are few: the left vertices with an unused edge to one
-                if goal.bit_count() <= reach.bit_count():
-                    rest = goal
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        w = low.bit_length() - 1
-                        senders |= adj[w] & ~owners[w]
                 layers = []  # (left layer, the full right vertices it reached first)
                 while True:
                     layers.append((layer, reach))
@@ -286,11 +284,6 @@ def augmenting_search(
                         y = low.bit_length() - 1
                         reach |= adj[y] & ~used[y]
                     reach &= alive & ~seen_right
-                    free = reach & goal
-                    if free:
-                        w = (free & -free).bit_length() - 1
-                        x = ((low := adj[w] & ~owners[w] & layer) & -low).bit_length() - 1
-                        break
                     seen_right |= reach
                 y = x
                 for layer, reach in reversed(layers):  # y gives up a unit it was reached through

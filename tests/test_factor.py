@@ -295,7 +295,7 @@ CHAIN = [(2, 1), (4, 3), (6, 5)]
 @pytest.mark.parametrize(
     "others",
     [[], [(1, 0), (3, 2), (5, 4), (7, 6)]],
-    # each layer's reach meets the goals, or each layer meets their senders
+    # every right vertex off the path is a goal, or only the path's end 7 is
     ids=["many-goals", "one-goal"],
 )
 def test_restore_flips_the_one_path_across_four_left_layers(others):
