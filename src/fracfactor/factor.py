@@ -32,6 +32,8 @@ from .maxflow import Arc, feasible_flow
 
 DEFAULT_BRUTE_FORCE_LIMIT = 20
 
+HALF_STEPS = (Fraction(0), Fraction(1, 2), Fraction(1))  # a folded witness value, by 2h(uv)
+
 
 @dataclass(frozen=True)
 class FactorParams:
@@ -90,7 +92,7 @@ class FractionalAssignment:
             if u >= v:
                 raise InputError(f"assignment key ({u}, {v}) must satisfy u < v")
             f = val if type(val) is Fraction else Fraction(val)
-            if not 0 <= f <= 1:
+            if not 0 <= f.numerator <= f.denominator:  # the denominator is positive
                 raise InputError(f"edge value {f} for ({u}, {v}) outside [0, 1]")
             norm[(u, v)] = f
         object.__setattr__(self, "values", norm)
@@ -341,7 +343,7 @@ def find_fractional_factor(
     if flows is None:
         raise RuntimeError("b-matching search and flow solver disagree; this is a bug")
     unit = flows[2 * n:]
-    values = {e: Fraction(x + y, 2) for e, x, y in zip(edges, unit[::2], unit[1::2])}
+    values = {e: HALF_STEPS[x + y] for e, x, y in zip(edges, unit[::2], unit[1::2])}
     return FractionalAssignment(values)
 
 
@@ -377,7 +379,8 @@ def validate_assignment(
             parts.append(f"unknown edges {extra[:5]}")
         raise InputError("assignment does not key the edge set exactly: " + ", ".join(parts))
     sums = assignment.vertex_sums(g)
-    ok = all(params.a <= total <= params.b for total in sums.values())
+    a, b = params.a, params.b
+    ok = all(a * t.denominator <= t.numerator <= b * t.denominator for t in sums.values())
     return AssignmentCheck(ok=ok, vertex_sums=sums)
 
 

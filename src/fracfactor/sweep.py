@@ -32,14 +32,14 @@ from .conditions import (
     order_condition_holds,
 )
 from .criticality import (
+    CRITICALITY_BUDGET,
     is_fractional_id_factor_critical,
     maximal_independent_sets,
-    require_criticality_order,
 )
 from .constructions import parse_probability, random_graph
 from .errors import InputError, ResourceLimitError
 from .factor import FactorParams
-from .graphs import Graph
+from .graphs import Graph, require_order
 
 # Labeled graphs on up to 7 vertices: 2,131,019 of them. Only (1, 1) meets the
 # order bound below n = 8; its sweep builds the 17,681 that meet the degree
@@ -94,9 +94,9 @@ class SweepConfig:
                     f"random ensemble of {self.random_instances} graphs per pair exceeds "
                     f"the cap of {RANDOM_INSTANCE_LIMIT}"
                 )
+            require_order(max(self.random_orders))
         if self.exhaustive_max_n is None and not has_random:
             raise InputError("sweep config selects no ensemble")
-        orders = list(self.random_orders)
         if self.exhaustive_max_n is not None:
             if self.exhaustive_max_n < 1:
                 raise InputError("exhaustive max_n must be >= 1")
@@ -105,8 +105,6 @@ class SweepConfig:
                     f"exhaustive max_n {self.exhaustive_max_n} exceeds the cap of "
                     f"{EXHAUSTIVE_ORDER_LIMIT}"
                 )
-            orders.append(self.exhaustive_max_n)
-        require_criticality_order(max(orders))
 
 
 def parse_sweep_config(text: str) -> SweepConfig:
@@ -318,6 +316,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             summary.condition_passing += 1
 
             crit = is_fractional_id_factor_critical(g, params)
+            if crit.independent_sets_checked > CRITICALITY_BUDGET:  # the audit walks them all
+                raise ResourceLimitError(
+                    f"invariant audit over {crit.independent_sets_checked} sets exceeds the budget"
+                )
             failures = []
             if crit.verdict:
                 summary.criticality_confirmed += 1

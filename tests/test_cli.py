@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from fracfactor import (
     complete_graph,
     constructions,
+    criticality,
     cycle_graph,
     format_edge_list,
     parse_edge_list,
@@ -85,10 +86,28 @@ def test_check_critical_json_payload(graph_file, capsys):
     assert payload["certificate"]["delta"] == -1
 
 
-def test_check_critical_cap_exit_code(graph_file, capsys):
+def test_check_critical_cap_exit_code(graph_file, capsys, monkeypatch):
+    # K21 is one twin class: the DFS decides the empty set and {0}, standing for 22 sets
     path = graph_file("k21.txt", complete_graph(21))
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 2)
+    assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 0
+    assert "independent sets checked: 22" in capsys.readouterr().out
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 1)
     assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 3
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: criticality check on 21 vertices: over 1 sets decided\n"
+
+
+def test_check_critical_reports_a_failure_above_the_scan_cap_without_a_certificate(
+    graph_file, capsys
+):
+    path = graph_file("p21.txt", path_graph(21))
+    assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "failing independent set: []"
+    assert main(["--format", "json", "check-critical", path, "-a", "1", "-b", "1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["failing_set"], "certificate" in payload) == ([], False)
 
 
 def test_check_hypotheses_pass_and_fail(graph_file, capsys):
@@ -162,16 +181,25 @@ def test_verify_theorem_refuses_a_random_ensemble_above_the_cap(tmp_path, capsys
 
 
 def test_verify_theorem_refuses_orders_above_the_criticality_cap(tmp_path, capsys, monkeypatch):
+    # Order 21 is swept; a check that decides more sets than the budget exits 3.
+    config = tmp_path / "sweep.ini"
+    config.write_text(
+        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 9/10\nsamples = 1\n"
+    )
+    assert main(["verify-theorem", str(config)]) == 0
+    assert "(a=1, b=1): 1 graphs, 1 pass the conditions, 1 confirmed critical" in capsys.readouterr().out
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 3)
+    assert main(["verify-theorem", str(config)]) == 3
+    assert "criticality check on 21 vertices: over 3 sets decided" in capsys.readouterr().err
+
+    # An order above MAX_ORDER is refused before any graph is examined.
     def never_run(config):
         raise AssertionError("run_sweep was called")
 
     monkeypatch.setattr(cli, "run_sweep", never_run)
-    config = tmp_path / "sweep.ini"
-    config.write_text(
-        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 1/2\nsamples = 1\n"
-    )
+    config.write_text(config.read_text().replace("orders = 21", "orders = 21 1001"))
     assert main(["verify-theorem", str(config)]) == 3
-    assert "criticality check over 21 vertices exceeds the cap of 20" in capsys.readouterr().err
+    assert "order 1001 exceeds the maximum of 1000 vertices" in capsys.readouterr().err
 
 
 def test_verify_theorem_refuses_an_unwritable_output_path_before_sweeping(
@@ -382,14 +410,18 @@ def test_verify_theorem_prints_counterexamples(tmp_path, capsys, monkeypatch):
     ]
 
 
-def test_gen_verify_reports_a_skipped_criticality_check(tmp_path, capsys):
+def test_gen_verify_reports_a_skipped_criticality_check(tmp_path, capsys, monkeypatch):
     out = tmp_path / "g.txt"
     args = ["gen", "neighborhood-extremal", "-a", "2", "-b", "3", "-t", "3", "-o", str(out)]
     assert main([*args, "--verify"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "  [required] not-critical: pass (failing set [6, 7, 8, 9, 10, 11, 12, 13, 14])"
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 5)
+    assert main([*args, "--verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == [
         "  [reported] degree-condition: pass (margin 29)",
-        "  criticality check skipped (order above cap)",
+        "  criticality check skipped (over the budget of decided sets)",
     ]
     assert "  [required] designated-deletion-infeasible: pass (b-matching search verdict)" in lines
 

@@ -12,6 +12,7 @@ from fracfactor import (
     KIND_NEIGHBORHOOD,
     check_criticality_conditions,
     constructions,
+    criticality,
     delta_st,
     factor,
     find_fractional_factor,
@@ -245,9 +246,13 @@ def test_verify_sharpness_runs_no_subset_scan(monkeypatch):
             assert "not-critical" in {c.name for c in report.checks}
 
 
-def test_verify_sharpness_skips_criticality_above_cap():
+def test_verify_sharpness_skips_criticality_above_cap(monkeypatch):
+    # order 25 is checked in full; only a tripped budget skips the check
     report = verify_sharpness(KIND_NEIGHBORHOOD, FactorParams(2, 3), 3)
-    assert report.n == 25
+    assert (report.n, report.criticality_skipped) == (25, False)
+    assert report.checks[-1].detail == "failing set [6, 7, 8, 9, 10, 11, 12, 13, 14]"
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 5)
+    report = verify_sharpness(KIND_NEIGHBORHOOD, FactorParams(2, 3), 3)
     assert report.criticality_skipped
     assert "not-critical" not in {c.name for c in report.checks}
     assert report.required_ok
@@ -276,8 +281,8 @@ DEGREE_CHECKS = [
 CHECK_ORDER_CASES = (
     [(KIND_NEIGHBORHOOD, a, b, t, NEIGHBORHOOD_CHECKS, False) for a, b, t in NEIGHBORHOOD_GRID]
     + [(KIND_DEGREE, a, b, t, DEGREE_CHECKS, False) for a, b, t in DEGREE_GRID]
-    # order 25 is above the criticality cap, so the not-critical check is skipped
-    + [(KIND_NEIGHBORHOOD, 2, 3, 3, NEIGHBORHOOD_CHECKS[:-1], True)]
+    # order 25, past the old order-20 cap: checked like the rest
+    + [(KIND_NEIGHBORHOOD, 2, 3, 3, NEIGHBORHOOD_CHECKS, False)]
 )
 
 

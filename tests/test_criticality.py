@@ -9,6 +9,7 @@ from fracfactor import (
     FactorParams,
     InputError,
     ResourceLimitError,
+    check_criticality_conditions,
     complete_graph,
     complete_multipartite_graph,
     criticality,
@@ -16,11 +17,13 @@ from fracfactor import (
     empty_graph,
     enumerate_independent_sets,
     first_failing_set,
+    has_fractional_factor,
     has_fractional_factor_bruteforce,
     is_fractional_id_factor_critical,
     maximal_independent_sets,
     min_degree_extremal_graph,
     neighborhood_extremal_graph,
+    order_condition_holds,
     path_graph,
     random_graph,
 )
@@ -419,13 +422,95 @@ def test_only_the_failing_set_is_deleted_and_solved(monkeypatch, g, calls):
     assert counts == {"solve": calls, "delete": calls}
 
 
-def test_criticality_respects_cap():
-    with pytest.raises(ResourceLimitError):
-        is_fractional_id_factor_critical(empty_graph(21), P11)
-    with pytest.raises(ResourceLimitError):
-        is_fractional_id_factor_critical(complete_graph(21), P11)
-    with pytest.raises(ResourceLimitError):
-        first_failing_set(complete_graph(21), P11)
+def test_criticality_respects_cap(monkeypatch):
+    # The budget counts the canonical sets decided; no order is refused on its own.
+    assert criticality.CRITICALITY_BUDGET == 2**20  # every independent set of order 20 or less
+    report = is_fractional_id_factor_critical(empty_graph(21), P11)
+    assert (report.failing_set, report.independent_sets_checked) == (frozenset(), 1)
+    assert report.failing_certificate is None  # G - I is above the subset-scan cap
+    assert first_failing_set(complete_graph(21), P11) == (None, 22)
+
+    params = FactorParams(1, 2)
+    g = random_graph(24, Fraction(1, 3), 24 * 10 + 3)
+    decided = len(decided_sets(g, params))
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", decided)
+    assert first_failing_set(g, params) == (None, 3210)
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", decided - 1)
+    message = f"criticality check on 24 vertices: over {decided - 1} sets decided"
+    with pytest.raises(ResourceLimitError, match=message):
+        first_failing_set(g, params)
+    with pytest.raises(ResourceLimitError, match=message):
+        is_fractional_id_factor_critical(g, params)
+
+
+# (a, b, n, p, sample) of seeded G(n, p) past order 20 whose deletions fail on some I
+PAST_20 = [
+    (1, 2, 21, Fraction(1, 4), 0),
+    (1, 2, 26, Fraction(1, 5), 1),
+    (1, 2, 33, Fraction(1, 5), 2),
+    (2, 2, 33, Fraction(1, 5), 0),
+    (2, 2, 40, Fraction(1, 5), 1),
+    (2, 3, 26, Fraction(3, 10), 2),
+    (2, 3, 40, Fraction(1, 5), 2),
+    (3, 3, 33, Fraction(3, 10), 0),
+    (3, 3, 40, Fraction(1, 5), 2),
+]
+
+
+def test_deletion_verdicts_match_deleting_and_solving_past_order_20():
+    # Each G - I is decided afresh, with no warm start from the set I extends.
+    cases = [
+        (random_graph(n, p, 100 * n + 10 * a + b + i), FactorParams(a, b))
+        for a, b, n, p, i in PAST_20
+    ]
+    cases += [
+        (random_graph(n, Fraction(3, 4), n), FactorParams(a, b))
+        for a, b in ((1, 2), (2, 2), (2, 3), (3, 3))
+        for n in (21, 40)
+    ]
+    decided = failed = 0
+    for g, params in cases:
+        for ind, ok in decided_sets(g, params):
+            sub, _ = g.delete_vertices(ind)
+            assert ok == has_fractional_factor(sub, params)
+            decided += 1
+            failed += not ok
+    assert (decided, failed) == (7305, 61)
+
+
+@pytest.mark.parametrize("n", range(21, 25))
+def test_first_failing_set_is_the_first_failure_of_the_unpruned_walk_past_order_20(n):
+    outcomes = []
+    for a, b in ((1, 2), (2, 2), (2, 3)):
+        params = FactorParams(a, b)
+        g = random_graph(n, Fraction(1, 3), 10 * n + a + b)
+        for index, ind in enumerate(enumerate_independent_sets(g), start=1):
+            if not has_fractional_factor(g.delete_vertices(ind)[0], params):
+                want = ind, index
+                break
+        else:
+            want = None, index
+        assert first_failing_set(g, params) == want
+        outcomes.append(want[0] is None)
+    assert outcomes == [True, n == 24, n == 22]
+
+
+def test_condition_passing_graphs_of_the_33_region_are_critical():
+    # (3,3) first meets the order condition at n = 28.
+    params = FactorParams(3, 3)
+    assert [order_condition_holds(n, params) for n in (27, 28)] == [False, True]
+    passing = 0
+    for n in range(28, 33):
+        for p in (Fraction(3, 4), Fraction(9, 10)):
+            for i in range(4):
+                g = random_graph(n, p, 1000 * n + i)
+                if not check_criticality_conditions(g, params).all_ok:
+                    continue
+                passing += 1
+                report = is_fractional_id_factor_critical(g, params)
+                assert report.verdict
+                assert report.independent_sets_checked == len(list(enumerate_independent_sets(g)))
+    assert passing == 40
 
 
 def test_report_serialization_shape():

@@ -385,6 +385,21 @@ def test_solver_witness_sums_and_range():
     assert all(0 <= v <= 1 for v in result.values.values())
 
 
+def test_witness_values_are_the_three_half_steps():
+    # every witness value is one of factor.HALF_STEPS, shared rather than rebuilt
+    seen = set()
+    for n in (6, 9, 12):
+        g = random_graph(n, Fraction(2, 3), n)
+        result = find_fractional_factor(g, P11)
+        assert isinstance(result, FractionalAssignment)
+        for val in result.values.values():
+            assert any(val is step for step in factor.HALF_STEPS)
+            seen.add(val)
+    assert factor.HALF_STEPS == (0, Fraction(1, 2), 1)
+    assert all(type(step) is Fraction for step in factor.HALF_STEPS)
+    assert seen == set(factor.HALF_STEPS)
+
+
 # -- assignments --------------------------------------------------------------
 
 
@@ -395,6 +410,11 @@ def test_assignment_validates_values():
         FractionalAssignment({(1, 0): Fraction(1, 2)})
     with pytest.raises(InputError, match="outside"):
         FractionalAssignment({(0, 1): 1.5})
+    for bad in (Fraction(-1, 2), Fraction(-1), Fraction(1001, 1000), -0.25, 2):
+        with pytest.raises(InputError, match="outside"):
+            FractionalAssignment({(0, 1): bad})
+    for good in (Fraction(0), Fraction(1), Fraction(999, 1000), 0, 1, 0.5, -0.0):
+        assert FractionalAssignment({(0, 1): good}).values[(0, 1)] == good
 
 
 def test_assignment_converts_ints_and_floats_and_keeps_fractions():
@@ -442,6 +462,22 @@ def test_validate_assignment_reports_sums():
     assert not check.ok
     assert check.vertex_sums[1] == 2
     assert check.vertex_sums[3] == 0
+
+
+def test_validate_assignment_compares_totals_exactly_at_both_ends():
+    # K4 under (1, 2): 2/3 on every edge puts each vertex at b exactly
+    k4 = complete_graph(4)
+    params = FactorParams(1, 2)
+    values = {e: Fraction(2, 3) for e in k4.edges()}
+    assert validate_assignment(k4, params, FractionalAssignment(values)).ok
+    values[(0, 1)] += Fraction(1, 300)  # 0 and 1 sit just above b
+    assert not validate_assignment(k4, params, FractionalAssignment(values)).ok
+    values = {e: Fraction(1, 3) for e in k4.edges()}  # every vertex at a exactly
+    assert validate_assignment(k4, params, FractionalAssignment(values)).ok
+    values[(2, 3)] -= Fraction(1, 300)  # 2 and 3 sit just below a
+    check = validate_assignment(k4, params, FractionalAssignment(values))
+    assert not check.ok
+    assert check.vertex_sums[2] == 1 - Fraction(1, 300)
 
 
 def test_assignment_text_round_trip():

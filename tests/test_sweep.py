@@ -94,14 +94,22 @@ def test_parse_refuses_huge_probability_exponents(monkeypatch, p):
 
 
 def test_config_rejects_orders_above_cap():
-    config = SweepConfig(
-        pairs=((1, 1),),
-        random_orders=(25,),
-        random_probabilities=(Fraction(1, 2),),
-        random_samples=1,
-    )
-    with pytest.raises(ResourceLimitError, match="cap of 20"):
-        config.validate()
+    # Criticality is bounded by sets decided, not by order; MAX_ORDER still bounds the graphs.
+    random_config((25,), (Fraction(1, 2),), 1).validate()
+    with pytest.raises(ResourceLimitError, match="order 1001 exceeds the maximum of 1000"):
+        random_config((25, 1001), (Fraction(1, 2),), 1).validate()
+
+
+def test_the_invariant_audit_is_refused_past_the_budget(monkeypatch):
+    # The audit walks every independent set, twins included, so the weighted
+    # count is checked before it starts.
+    def never_audited(g):
+        raise AssertionError("the audit ran past the budget")
+
+    monkeypatch.setattr(sweep, "maximal_independent_sets", never_audited)
+    monkeypatch.setattr(sweep, "CRITICALITY_BUDGET", 10)
+    with pytest.raises(ResourceLimitError, match="invariant audit over 35 sets exceeds the budget"):
+        run_sweep(random_config((21,), (Fraction(9, 10),), 1))
 
 
 def test_parse_rejects_non_integer_max_n():
@@ -352,6 +360,7 @@ def test_exhaustive_sweep_matches_a_check_of_every_labeled_graph(monkeypatch, pa
     # every passing graph reported as a criticality counterexample, tagged by its source
     class NotCritical:
         verdict = False
+        independent_sets_checked = 1
 
         def to_dict(self):
             return {}
