@@ -8,6 +8,8 @@ Three conditions on a graph of order n together guarantee criticality:
                    for every pair of nonadjacent vertices x, y
 
 Everything is kept in cross-multiplied integer form; no floats, no rounding.
+Each inequality is written once, as a margin (left-hand side minus right-hand
+side), and every verdict is that margin compared with 0.
 On a complete graph the neighborhood condition has nothing to quantify over
 and counts as (vacuously) satisfied.
 """
@@ -21,29 +23,27 @@ from .factor import FactorParams
 from .graphs import Graph
 
 
-def order_threshold(params: FactorParams) -> int:
-    """Value b*n must reach for the order condition."""
+def order_margin(n: int, params: FactorParams) -> int:
+    """b*n - ((a+2b)(2a+2b-3) + 1): at least 0 exactly when the order condition holds."""
     a, b = params.a, params.b
-    return (a + 2 * b) * (2 * a + 2 * b - 3) + 1
+    return b * n - (a + 2 * b) * (2 * a + 2 * b - 3) - 1
 
 
-def order_condition_holds(n: int, params: FactorParams) -> bool:
-    return params.b * n >= order_threshold(params)
-
-
-def degree_condition_holds(n: int, min_degree: int, params: FactorParams) -> bool:
+def degree_margin(n: int, min_degree: int, params: FactorParams) -> int:
+    """(a+2b)*delta - (b*n + a(a+2b)): at least 0 exactly when the degree condition holds."""
     a, b = params.a, params.b
-    return (a + 2 * b) * min_degree >= b * n + a * (a + 2 * b)
+    return (a + 2 * b) * min_degree - b * n - a * (a + 2 * b)
 
 
-def neighborhood_condition_holds(n: int, union_size: int, params: FactorParams) -> bool:
+def neighborhood_margin(n: int, union_size: int, params: FactorParams) -> int:
+    """(a+2b)*|N(x) | N(y)| - (a+b)*n: at least 0 exactly when the pair x, y meets the bound."""
     a, b = params.a, params.b
-    return (a + 2 * b) * union_size >= (a + b) * n
+    return (a + 2 * b) * union_size - (a + b) * n
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Pass/fail for each condition plus exact integer slack.
+    """Exact integer slack of each condition; every pass/fail is read off it.
 
     Margins are left-hand side minus right-hand side of the integer form,
     so zero means the bound is met exactly. worst_pair is the nonadjacent
@@ -56,9 +56,6 @@ class ConditionReport:
     b: int
     n: int
     min_degree: int
-    order_ok: bool
-    min_degree_ok: bool
-    neighborhood_ok: bool
     order_margin: int
     min_degree_margin: int
     worst_pair: tuple[int, int] | None = None
@@ -66,11 +63,23 @@ class ConditionReport:
     neighborhood_margin: int | None = None
 
     @property
+    def order_ok(self) -> bool:
+        return self.order_margin >= 0
+
+    @property
+    def min_degree_ok(self) -> bool:
+        return self.min_degree_margin >= 0
+
+    @property
+    def neighborhood_ok(self) -> bool:
+        return self.neighborhood_margin is None or self.neighborhood_margin >= 0
+
+    @property
     def all_ok(self) -> bool:
         return self.order_ok and self.min_degree_ok and self.neighborhood_ok
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "a": self.a,
             "b": self.b,
             "n": self.n,
@@ -85,14 +94,12 @@ class ConditionReport:
             "worst_union_size": self.worst_union_size,
             "neighborhood_margin": self.neighborhood_margin,
         }
-        return out
 
 
 def check_criticality_conditions(g: Graph, params: FactorParams) -> ConditionReport:
     """Evaluate all three conditions on g with exact arithmetic."""
     if g.n < 1:
         raise InputError("conditions are defined for graphs with at least one vertex")
-    a, b = params.a, params.b
     n = g.n
     min_degree = g.min_degree()
 
@@ -111,45 +118,19 @@ def check_criticality_conditions(g: Graph, params: FactorParams) -> ConditionRep
                 worst_size = size
                 worst_pair = (u, v)
 
-    order_margin = b * n - order_threshold(params)
-    degree_margin = (a + 2 * b) * min_degree - (b * n + a * (a + 2 * b))
-    neighborhood_margin = (
-        None if worst_size is None else (a + 2 * b) * worst_size - (a + b) * n
-    )
     return ConditionReport(
-        a=a,
-        b=b,
+        a=params.a,
+        b=params.b,
         n=n,
         min_degree=min_degree,
-        order_ok=order_margin >= 0,
-        min_degree_ok=degree_margin >= 0,
-        neighborhood_ok=neighborhood_margin is None or neighborhood_margin >= 0,
-        order_margin=order_margin,
-        min_degree_margin=degree_margin,
+        order_margin=order_margin(n, params),
+        min_degree_margin=degree_margin(n, min_degree, params),
         worst_pair=worst_pair,
         worst_union_size=worst_size,
-        neighborhood_margin=neighborhood_margin,
+        neighborhood_margin=(
+            None if worst_size is None else neighborhood_margin(n, worst_size, params)
+        ),
     )
-
-
-@dataclass(frozen=True)
-class KFactorThresholds:
-    """The a = b = k specialization: the least order the order condition admits."""
-
-    k: int
-    min_order: int
-
-
-def k_factor_thresholds(k: int) -> KFactorThresholds:
-    """Thresholds for fractional k-factors (a = b = k).
-
-    min_order is the least n with k*n >= order_threshold(FactorParams(k, k)),
-    which simplifies to 12k - 8.
-    """
-    if not isinstance(k, int) or k < 1:
-        raise InputError(f"k must be a positive integer, got {k!r}")
-    min_order = -(-order_threshold(FactorParams(k, k)) // k)
-    return KFactorThresholds(k=k, min_order=min_order)
 
 
 @dataclass(frozen=True)
@@ -163,11 +144,17 @@ class DeletionCheck:
     """
 
     set_size: int
-    size_ok: bool
     size_margin: int
     deleted_min_degree: int | None
-    min_degree_ok: bool
     min_degree_margin: int | None
+
+    @property
+    def size_ok(self) -> bool:
+        return self.size_margin >= 0
+
+    @property
+    def min_degree_ok(self) -> bool:
+        return self.min_degree_margin is not None and self.min_degree_margin >= 0
 
     @property
     def consistent(self) -> bool:
@@ -186,48 +173,32 @@ class DeletionCheck:
 
 
 def check_deletion_invariants(
-    g: Graph,
-    params: FactorParams,
-    ind_set: object,
-    conditions: ConditionReport | None = None,
+    g: Graph, params: FactorParams, ind_set: object, conditions: ConditionReport
 ) -> DeletionCheck:
     """Audit the two derived bounds for an independent set of a passing graph.
 
-    conditions, when given, is check_criticality_conditions(g, params) as the
-    caller already holds it; it is evaluated here otherwise.
+    conditions is check_criticality_conditions(g, params) as the caller holds
+    it. Only its order, (a, b) pair and verdict are checked here, so a passing
+    report of another graph may reach X = V, where deleted_min_degree is None.
     """
     x = g.vertex_subset(ind_set)
     masks = g.adjacency_masks()
     x_mask = sum(1 << v for v in x)
     if any(masks[v] & x_mask for v in x):
         raise InputError("the audited vertex set must be independent")
-    report = check_criticality_conditions(g, params) if conditions is None else conditions
-    if (report.n, report.a, report.b) != (g.n, params.a, params.b):
+    if (conditions.n, conditions.a, conditions.b) != (g.n, params.a, params.b):
         raise InputError("the condition report is for another order or (a, b) pair")
-    if not report.all_ok:
+    if not conditions.all_ok:
         raise InputError(
             "deletion invariants only apply when the order, degree and "
             "neighborhood conditions all hold"
         )
-    a, b = params.a, params.b
-    size_margin = b * g.n - (a + 2 * b) * len(x)
-    size_ok = size_margin >= 0
-
     kept = ~x_mask
     degrees = [(m & kept).bit_count() for v, m in enumerate(masks) if kept >> v & 1]
-    if not degrees:
-        deleted_min_degree = None
-        degree_ok = False
-        degree_margin = None
-    else:
-        deleted_min_degree = min(degrees)
-        degree_margin = deleted_min_degree - a
-        degree_ok = degree_margin >= 0
+    deleted_min_degree = min(degrees, default=None)
     return DeletionCheck(
         set_size=len(x),
-        size_ok=size_ok,
-        size_margin=size_margin,
+        size_margin=params.b * g.n - (params.a + 2 * params.b) * len(x),
         deleted_min_degree=deleted_min_degree,
-        min_degree_ok=degree_ok,
-        min_degree_margin=degree_margin,
+        min_degree_margin=None if deleted_min_degree is None else deleted_min_degree - params.a,
     )

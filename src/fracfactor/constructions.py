@@ -270,7 +270,7 @@ def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport
             ),
             _check(
                 "neighborhood-margin-window",
-                (a + 2 * b) * u_size < (a + b) * n < (a + 2 * b) * (u_size + 1),
+                -(a + 2 * b) < cond.neighborhood_margin < 0,
                 True,
                 f"(a+2b)*{u_size} < (a+b)*{n} < (a+2b)*{u_size + 1}",
             ),

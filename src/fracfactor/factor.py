@@ -80,7 +80,7 @@ class FractionalAssignment:
     """Edge weights of a fractional factor, keyed by (u, v) with u < v.
 
     Every edge of the underlying graph must be keyed explicitly, zeros
-    included; values are exact fractions in [0, 1].
+    included; values are exact fractions in [0, 1], given as int or Fraction.
     """
 
     values: Mapping[Edge, Fraction] = field(default_factory=dict)
@@ -91,21 +91,16 @@ class FractionalAssignment:
             u, v = key
             if u >= v:
                 raise InputError(f"assignment key ({u}, {v}) must satisfy u < v")
-            f = val if type(val) is Fraction else Fraction(val)
+            if type(val) is Fraction:
+                f = val
+            elif type(val) is int:
+                f = Fraction(val)
+            else:
+                raise InputError(f"edge value {val!r} for ({u}, {v}) is not an int or a Fraction")
             if not 0 <= f.numerator <= f.denominator:  # the denominator is positive
                 raise InputError(f"edge value {f} for ({u}, {v}) outside [0, 1]")
             norm[(u, v)] = f
         object.__setattr__(self, "values", norm)
-
-    def vertex_sums(self, g: Graph) -> dict[int, Fraction]:
-        """Each vertex's weight sum, added up on integers over the values' common denominator."""
-        common = lcm(*{val.denominator for val in self.values.values()})
-        sums = [0] * g.n
-        for (u, v), val in self.values.items():
-            scaled = val.numerator * (common // val.denominator)
-            sums[u] += scaled
-            sums[v] += scaled
-        return {v: Fraction(total, common) for v, total in enumerate(sums)}
 
 
 @dataclass(frozen=True)
@@ -113,7 +108,6 @@ class AssignmentCheck:
     """Result of validating an assignment against a graph and parameters."""
 
     ok: bool
-    vertex_sums: dict[int, Fraction]
 
 
 def delta_st(g: Graph, params: FactorParams, s: object) -> tuple[frozenset[int], int]:
@@ -378,10 +372,15 @@ def validate_assignment(
         if extra:
             parts.append(f"unknown edges {extra[:5]}")
         raise InputError("assignment does not key the edge set exactly: " + ", ".join(parts))
-    sums = assignment.vertex_sums(g)
-    a, b = params.a, params.b
-    ok = all(a * t.denominator <= t.numerator <= b * t.denominator for t in sums.values())
-    return AssignmentCheck(ok=ok, vertex_sums=sums)
+    # each vertex's weight sum, added up on integers over the values' common denominator
+    common = lcm(*{val.denominator for val in assignment.values.values()})
+    totals = [0] * g.n
+    for (u, v), val in assignment.values.items():
+        scaled = val.numerator * (common // val.denominator)
+        totals[u] += scaled
+        totals[v] += scaled
+    low, high = params.a * common, params.b * common
+    return AssignmentCheck(ok=all(low <= total <= high for total in totals))
 
 
 # -- assignment text format ---------------------------------------------------

@@ -28,8 +28,8 @@ from typing import Iterator
 from .conditions import (
     check_criticality_conditions,
     check_deletion_invariants,
-    degree_condition_holds,
-    order_condition_holds,
+    degree_margin,
+    order_margin,
 )
 from .criticality import (
     CRITICALITY_BUDGET,
@@ -231,9 +231,9 @@ def _degree_floor(n: int, params: FactorParams) -> int | None:
     None when no graph of order n can pass: the order condition fails, or no
     degree below n meets the degree condition.
     """
-    if not order_condition_holds(n, params):
+    if order_margin(n, params) < 0:
         return None
-    return next((d for d in range(n) if degree_condition_holds(n, d, params)), None)
+    return next((d for d in range(n) if degree_margin(n, d, params) >= 0), None)
 
 
 def _ensemble_size(config: SweepConfig) -> int:

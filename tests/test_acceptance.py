@@ -23,10 +23,9 @@ from fracfactor import (
     find_fractional_factor,
     has_fractional_factor_bruteforce,
     is_fractional_id_factor_critical,
-    k_factor_thresholds,
     min_degree_extremal_graph,
     neighborhood_extremal_graph,
-    order_condition_holds,
+    order_margin,
     path_graph,
     run_sweep,
     validate_assignment,
@@ -158,11 +157,10 @@ def test_criterion_4_verification_sweep(capsys):
 def test_criterion_5_uniform_bound_thresholds(capsys):
     with scoreboard(capsys, 5, "equal-bounds thresholds"):
         for k in range(1, 11):
-            thresholds = k_factor_thresholds(k)
-            assert thresholds.min_order == 12 * k - 8
+            # the least order meeting the order condition is 12k - 8
             params = FactorParams(k, k)
-            assert order_condition_holds(12 * k - 8, params)
-            assert not order_condition_holds(12 * k - 9, params)
+            assert order_margin(12 * k - 8, params) == k - 1
+            assert order_margin(12 * k - 9, params) == -1
 
 
 def test_criterion_6_neighborhood_margin_window(capsys):

@@ -23,7 +23,7 @@ from fracfactor import (
     maximal_independent_sets,
     min_degree_extremal_graph,
     neighborhood_extremal_graph,
-    order_condition_holds,
+    order_margin,
     path_graph,
     random_graph,
 )
@@ -498,7 +498,7 @@ def test_first_failing_set_is_the_first_failure_of_the_unpruned_walk_past_order_
 def test_condition_passing_graphs_of_the_33_region_are_critical():
     # (3,3) first meets the order condition at n = 28.
     params = FactorParams(3, 3)
-    assert [order_condition_holds(n, params) for n in (27, 28)] == [False, True]
+    assert [order_margin(n, params) for n in (27, 28)] == [-1, 2]
     passing = 0
     for n in range(28, 33):
         for p in (Fraction(3, 4), Fraction(9, 10)):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 
@@ -380,8 +381,9 @@ def test_solver_witness_sums_and_range():
     params = FactorParams(1, 2)
     result = find_fractional_factor(g, params)
     assert isinstance(result, FractionalAssignment)
-    sums = result.vertex_sums(g)
-    assert all(1 <= s <= 2 for s in sums.values())
+    assert validate_assignment(g, params, result).ok
+    sums = [sum((x for e, x in result.values.items() if v in e), Fraction(0)) for v in range(g.n)]
+    assert all(1 <= s <= 2 for s in sums)
     assert all(0 <= v <= 1 for v in result.values.values())
 
 
@@ -405,35 +407,45 @@ def test_witness_values_are_the_three_half_steps():
 
 def test_assignment_validates_values():
     with pytest.raises(InputError):
-        FractionalAssignment({(0, 1): Fraction(3, 2)})
-    with pytest.raises(InputError):
         FractionalAssignment({(1, 0): Fraction(1, 2)})
-    with pytest.raises(InputError, match="outside"):
-        FractionalAssignment({(0, 1): 1.5})
-    for bad in (Fraction(-1, 2), Fraction(-1), Fraction(1001, 1000), -0.25, 2):
+    for bad in (Fraction(3, 2), Fraction(-1, 2), Fraction(-1), Fraction(1001, 1000), 2, -1):
         with pytest.raises(InputError, match="outside"):
             FractionalAssignment({(0, 1): bad})
-    for good in (Fraction(0), Fraction(1), Fraction(999, 1000), 0, 1, 0.5, -0.0):
+    for good in (Fraction(0), Fraction(1), Fraction(999, 1000), 0, 1, Fraction(1, 2)):
         assert FractionalAssignment({(0, 1): good}).values[(0, 1)] == good
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "1/2", True, 0.25])
+def test_assignment_refuses_values_that_are_not_int_or_fraction(bad):
+    with pytest.raises(InputError, match=r"for \(0, 1\) is not an int or a Fraction"):
+        FractionalAssignment({(0, 1): bad})
 
 
 def test_assignment_converts_ints_and_floats_and_keeps_fractions():
     half = Fraction(1, 2)
-    h = FractionalAssignment({(0, 1): 1, (1, 2): 0.25, (2, 3): half})
+    h = FractionalAssignment({(0, 1): 1, (1, 2): Fraction(1, 4), (2, 3): half})
     assert h.values == {(0, 1): 1, (1, 2): Fraction(1, 4), (2, 3): half}
     assert all(type(v) is Fraction for v in h.values.values())
     assert h.values[(2, 3)] is half
 
 
 def test_vertex_sums_over_mixed_denominators_match_fraction_sums():
-    g = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (0, 4)])  # vertex 5 is isolated
-    weights = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2, 3), 0, Fraction(1, 6)]
-    values = dict(zip(g.edges(), weights))
-    reference = {v: sum((x for e, x in values.items() if v in e), Fraction(0)) for v in range(g.n)}
-    sums = FractionalAssignment(values).vertex_sums(g)
-    assert sums == reference
-    assert all(type(total) is Fraction for total in sums.values())
-    assert FractionalAssignment().vertex_sums(empty_graph(2)) == {0: 0, 1: 0}
+    # validate_assignment adds integer numerators over the common denominator;
+    # its verdict must match plain Fraction sums, the ends of [a, b] included
+    steps = sorted({Fraction(k, d) for d in (2, 3, 4, 6) for k in range(d + 1)})
+    pairs = [FactorParams(1, 1), FactorParams(1, 2), FactorParams(2, 3)]
+    verdicts = set()
+    for seed in range(60):
+        g = random_graph(6, Fraction(3, 4), seed)
+        rng = random.Random(seed)
+        values = {e: rng.choice(steps) for e in g.edges()}
+        sums = [sum((x for e, x in values.items() if v in e), Fraction(0)) for v in range(g.n)]
+        for params in pairs:
+            want = all(params.a <= s <= params.b for s in sums)
+            assert validate_assignment(g, params, FractionalAssignment(values)).ok == want
+            verdicts.add((want, any(s in (params.a, params.b) for s in sums)))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+    assert not validate_assignment(empty_graph(2), P11, FractionalAssignment()).ok
 
 
 def test_validate_assignment_checks_keys_exactly():
@@ -451,17 +463,14 @@ def test_validate_assignment_checks_keys_exactly():
 def test_validate_assignment_reports_sums():
     c4 = cycle_graph(4)
     halves = FractionalAssignment({e: Fraction(1, 2) for e in c4.edges()})
-    check = validate_assignment(c4, P11, halves)
-    assert check.ok
-    assert all(s == 1 for s in check.vertex_sums.values())
+    assert validate_assignment(c4, P11, halves).ok  # every vertex sums to 1
 
+    # vertex 1 sums to 2 and vertex 3 to 0: both outside [1, 1]
     lopsided = FractionalAssignment(
         {(0, 1): 1, (1, 2): 1, (2, 3): 0, (0, 3): 0}
     )
-    check = validate_assignment(c4, P11, lopsided)
-    assert not check.ok
-    assert check.vertex_sums[1] == 2
-    assert check.vertex_sums[3] == 0
+    assert not validate_assignment(c4, P11, lopsided).ok
+    assert not validate_assignment(c4, FactorParams(1, 2), lopsided).ok  # vertex 3 alone
 
 
 def test_validate_assignment_compares_totals_exactly_at_both_ends():
@@ -474,10 +483,8 @@ def test_validate_assignment_compares_totals_exactly_at_both_ends():
     assert not validate_assignment(k4, params, FractionalAssignment(values)).ok
     values = {e: Fraction(1, 3) for e in k4.edges()}  # every vertex at a exactly
     assert validate_assignment(k4, params, FractionalAssignment(values)).ok
-    values[(2, 3)] -= Fraction(1, 300)  # 2 and 3 sit just below a
-    check = validate_assignment(k4, params, FractionalAssignment(values))
-    assert not check.ok
-    assert check.vertex_sums[2] == 1 - Fraction(1, 300)
+    values[(2, 3)] -= Fraction(1, 300)  # 2 and 3 sit at 1 - 1/300, just below a
+    assert not validate_assignment(k4, params, FractionalAssignment(values)).ok
 
 
 def test_assignment_text_round_trip():

@@ -13,8 +13,8 @@ from fracfactor import (
     check_criticality_conditions,
     constructions,
     conditions,
-    degree_condition_holds,
-    order_condition_holds,
+    degree_margin,
+    order_margin,
     parse_sweep_config,
     run_sweep,
     sweep,
@@ -263,10 +263,8 @@ def test_exhaustive_sweep_small_orders_clean():
 def test_inconsistent_invariants_are_recorded_with_the_graph(monkeypatch):
     audit = DeletionCheck(
         set_size=1,
-        size_ok=False,
         size_margin=-1,
         deleted_min_degree=2,
-        min_degree_ok=True,
         min_degree_margin=0,
     )
     monkeypatch.setattr(sweep, "check_deletion_invariants", lambda g, params, ind, report: audit)
@@ -319,9 +317,7 @@ def meets_order_and_degree(g, params):
     for u, v in g.edges():
         degrees[u] += 1
         degrees[v] += 1
-    return order_condition_holds(g.n, params) and degree_condition_holds(
-        g.n, min(degrees), params
-    )
+    return order_margin(g.n, params) >= 0 and degree_margin(g.n, min(degrees), params) >= 0
 
 
 def test_conditions_are_checked_once_per_graph_and_pair(monkeypatch):
