@@ -28,7 +28,7 @@ from .constructions import (
 )
 from .criticality import is_fractional_id_factor_critical
 from .errors import ConstructionError, InputError, ResourceLimitError
-from .factor import FactorParams, FractionalAssignment, find_fractional_factor, format_assignment
+from .factor import FactorParams, FractionalAssignment, find_fractional_factor
 from .graphs import format_edge_list, parse_edge_list
 from .sweep import parse_sweep_config, run_sweep
 
@@ -140,14 +140,13 @@ def _cmd_check_factor(args: argparse.Namespace) -> int:
     lines = [f"graph: {g.n} vertices, {g.m} edges", f"params: a={params.a} b={params.b}"]
     if feasible:
         lines.append("feasible: yes")
-        if args.witness:
-            witness = format_assignment(result)
+        if args.witness:  # one "u v p/q" line per edge, the fraction in lowest terms
             payload["witness"] = [
                 [u, v, f"{val.numerator}/{val.denominator}"]
                 for (u, v), val in sorted(result.values.items())
             ]
             lines.append("witness:")
-            lines.extend(witness.splitlines())
+            lines.extend(" ".join(map(str, row)) for row in payload["witness"])
         _emit(args, payload, lines)
         return 0
     lines.append("feasible: no")
@@ -178,11 +177,11 @@ def _cmd_check_critical(args: argparse.Namespace) -> int:
     ]
     if not report.verdict:
         lines.append(f"failing independent set: {sorted(report.failing_set or ())}")
-        original = report.certificate_in_original_labels()
+        original = payload.get("certificate_original_labels")
         if original is not None:
-            s, t, delta = original
             lines.append(
-                f"certificate (original labels): S={sorted(s)} T={sorted(t)} delta={delta}"
+                f"certificate (original labels): S={original['s']} T={original['t']} "
+                f"delta={original['delta']}"
             )
     _emit(args, payload, lines)
     return 0 if report.verdict else 1

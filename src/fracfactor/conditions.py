@@ -16,7 +16,7 @@ and counts as (vacuously) satisfied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InputError
 from .factor import FactorParams
@@ -79,20 +79,12 @@ class ConditionReport:
         return self.order_ok and self.min_degree_ok and self.neighborhood_ok
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "n": self.n,
-            "min_degree": self.min_degree,
+        return asdict(self) | {
             "order_ok": self.order_ok,
             "min_degree_ok": self.min_degree_ok,
             "neighborhood_ok": self.neighborhood_ok,
             "all_ok": self.all_ok,
-            "order_margin": self.order_margin,
-            "min_degree_margin": self.min_degree_margin,
             "worst_pair": list(self.worst_pair) if self.worst_pair else None,
-            "worst_union_size": self.worst_union_size,
-            "neighborhood_margin": self.neighborhood_margin,
         }
 
 
@@ -161,13 +153,9 @@ class DeletionCheck:
         return self.size_ok and self.min_degree_ok
 
     def to_dict(self) -> dict:
-        return {
-            "set_size": self.set_size,
+        return asdict(self) | {
             "size_ok": self.size_ok,
-            "size_margin": self.size_margin,
-            "deleted_min_degree": self.deleted_min_degree,
             "min_degree_ok": self.min_degree_ok,
-            "min_degree_margin": self.min_degree_margin,
             "consistent": self.consistent,
         }
 

@@ -225,15 +225,7 @@ class SharpnessReport:
         return all(c.passed for c in self.checks if c.required)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "a": self.a,
-            "b": self.b,
-            "t": self.t,
-            "n": self.n,
-            "criticality_skipped": self.criticality_skipped,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return asdict(self) | {"checks": [c.to_dict() for c in self.checks]}
 
 
 def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport:
@@ -288,9 +280,9 @@ def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport
         checks += [
             _check(
                 "min-degree-value",
-                g.min_degree() == want_delta and g.degree(u_vertex) == want_delta,
+                cond.min_degree == want_delta and g.degree(u_vertex) == want_delta,
                 True,
-                f"min degree {g.min_degree()}, expected {want_delta} at the extra vertex",
+                f"min degree {cond.min_degree}, expected {want_delta} at the extra vertex",
             ),
             _check(
                 "degree-one-below-bound",

@@ -253,7 +253,8 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, int
                 smallest_failure = size
 
     used, owners, alive = [0] * n, [0] * n, (1 << n) - 1
-    full = restore([*range(n)] * params.a, used, owners, 0, alive)  # all start a units short
+    rounds = (v for _ in range(params.a) for v in range(n))  # lazy: a may be huge
+    full = restore(rounds, used, owners, 0, alive)  # all start a units short
     ok = full >= 0
     yield 0, 1, ok
     if ok:

@@ -303,7 +303,8 @@ def has_fractional_factor(g: Graph, params: FactorParams) -> bool:
     """Decide existence by saturating a b-matching, a searches per vertex."""
     n = g.n
     restore = augmenting_search(g.adjacency_masks(), params.b)
-    return restore([*range(n)] * params.a, [0] * n, [0] * n, 0, (1 << n) - 1) >= 0
+    rounds = (v for _ in range(params.a) for v in range(n))  # lazy: a may be huge
+    return restore(rounds, [0] * n, [0] * n, 0, (1 << n) - 1) >= 0
 
 
 def find_fractional_factor(
@@ -382,16 +383,3 @@ def validate_assignment(
     low, high = params.a * common, params.b * common
     return AssignmentCheck(ok=all(low <= total <= high for total in totals))
 
-
-# -- assignment text format ---------------------------------------------------
-#
-# One line per edge: "u v p/q" with the fraction in lowest terms. The library
-# writes this format and has no reader for it.
-
-
-def format_assignment(assignment: FractionalAssignment) -> str:
-    lines = [
-        f"{u} {v} {val.numerator}/{val.denominator}"
-        for (u, v), val in sorted(assignment.values.items())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from configparser import ConfigParser, Error as ConfigParserError
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
@@ -66,7 +66,7 @@ class SweepConfig:
         """Random graphs drawn per pair: orders x probabilities x samples."""
         return len(self.random_orders) * len(self.random_probabilities) * self.random_samples
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.pairs:
             raise InputError("sweep config lists no (a, b) pairs")
         for a, b in self.pairs:
@@ -119,38 +119,28 @@ def parse_sweep_config(text: str) -> SweepConfig:
         raise InputError(f"unknown sweep config section(s): {', '.join(unknown)}")
 
     try:
-        pairs = tuple(
-            _parse_pair(tok) for tok in parser.get("params", "pairs", fallback="").split()
-        )
-        exhaustive_max_n = None
+        fields: dict = {
+            "pairs": tuple(
+                _parse_pair(tok) for tok in parser.get("params", "pairs", fallback="").split()
+            )
+        }
         if parser.has_section("exhaustive"):
-            exhaustive_max_n = parser.getint("exhaustive", "max_n")
-        orders: tuple[int, ...] = ()
-        probabilities: tuple[Fraction, ...] = ()
-        samples = 0
-        seed = 0
+            fields["exhaustive_max_n"] = parser.getint("exhaustive", "max_n")
         if parser.has_section("random"):
-            orders = tuple(int(tok) for tok in parser.get("random", "orders").split())
-            probabilities = tuple(
+            fields["random_orders"] = tuple(
+                int(tok) for tok in parser.get("random", "orders").split()
+            )
+            fields["random_probabilities"] = tuple(
                 parse_probability(tok) for tok in parser.get("random", "probabilities").split()
             )
-            samples = parser.getint("random", "samples")
-            seed = parser.getint("random", "seed", fallback=0)
-        output_path = parser.get("output", "path", fallback=None)
+            fields["random_samples"] = parser.getint("random", "samples")
+            if parser.has_option("random", "seed"):
+                fields["seed"] = parser.getint("random", "seed")
+        if parser.has_option("output", "path"):
+            fields["output_path"] = parser.get("output", "path")
     except (ValueError, ZeroDivisionError, ConfigParserError) as exc:
         raise InputError(f"malformed sweep config: {exc}") from exc
-
-    config = SweepConfig(
-        pairs=pairs,
-        exhaustive_max_n=exhaustive_max_n,
-        random_orders=orders,
-        random_probabilities=probabilities,
-        random_samples=samples,
-        seed=seed,
-        output_path=output_path,
-    )
-    config.validate()
-    return config
+    return SweepConfig(**fields)  # checked here, outside the try: InputError is a ValueError
 
 
 def _parse_pair(token: str) -> tuple[int, int]:
@@ -177,15 +167,7 @@ class Counterexample:
     details: dict
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "a": self.a,
-            "b": self.b,
-            "kind": self.kind,
-            "n": self.n,
-            "edges": [list(e) for e in self.edges],
-            "details": self.details,
-        }
+        return asdict(self) | {"edges": [list(e) for e in self.edges]}
 
 
 @dataclass
@@ -199,15 +181,7 @@ class PairSummary:
     counterexamples: list[Counterexample] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "graphs_examined": self.graphs_examined,
-            "condition_passing": self.condition_passing,
-            "criticality_confirmed": self.criticality_confirmed,
-            "invariant_checks": self.invariant_checks,
-            "counterexamples": [c.to_dict() for c in self.counterexamples],
-        }
+        return asdict(self) | {"counterexamples": [c.to_dict() for c in self.counterexamples]}
 
 
 @dataclass
@@ -304,7 +278,6 @@ def _ensemble(config: SweepConfig, params: FactorParams) -> Iterator[tuple[str, 
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    config.validate()
     summaries = []
     for a, b in sorted(set(config.pairs)):
         params = FactorParams(a, b)

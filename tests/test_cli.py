@@ -45,6 +45,38 @@ def test_check_factor_witness_json(graph_file, capsys):
     assert payload["witness"] == [[0, 1, "1/1"]]
 
 
+def witness_lines(path, capsys):
+    assert main(["check-factor", path, "-a", "1", "-b", "1", "--witness"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    return out[out.index("witness:") + 1 :]
+
+
+def test_check_factor_witness_text_is_in_lowest_terms(graph_file, capsys):
+    path = graph_file("p4.txt", path_graph(4))
+    assert witness_lines(path, capsys) == ["0 1 1/1", "1 2 0/1", "2 3 1/1"]
+
+
+def test_check_factor_witness_text_matches_the_json_witness(graph_file, capsys):
+    path = graph_file("k3.txt", complete_graph(3))  # (1,1) on a triangle needs halves
+    lines = witness_lines(path, capsys)
+    assert lines == ["0 1 1/2", "0 2 1/2", "1 2 1/2"]
+    assert main(["--format", "json", "check-factor", path, "-a", "1", "-b", "1", "--witness"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert [" ".join(map(str, row)) for row in witness] == lines
+
+
+@pytest.mark.parametrize("command", ["check-factor", "check-critical"])
+def test_a_beyond_a_machine_word_exits_1_with_a_certificate(graph_file, capsys, command):
+    # The saturation rounds are generated lazily: P3 fails at round 2, so
+    # no list of n * a slots is built.
+    path = graph_file("p3.txt", path_graph(3))
+    a = str(2**63)
+    assert main([command, path, "-a", a, "-b", a]) == 1
+    captured = capsys.readouterr()
+    assert "S=[] T=[0, 1, 2]" in captured.out
+    assert captured.err == ""
+
+
 def test_check_factor_infeasible_with_certificate(graph_file, capsys):
     path = graph_file("p3.txt", path_graph(3))
     assert main(["check-factor", path, "-a", "1", "-b", "1"]) == 1

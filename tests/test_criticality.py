@@ -520,3 +520,16 @@ def test_report_serialization_shape():
     assert doc["failing_set"] == [0]
     assert doc["certificate"]["delta"] == -1
     assert doc["certificate_original_labels"]["s"] == [2]
+
+
+def test_a_beyond_a_machine_word_fails_at_the_first_short_round():
+    # a = 2**63 would not fit a list of n * a saturation rounds; P3 fails at round 2.
+    params = FactorParams(2**63, 2**63)
+    p3 = path_graph(3)
+    assert has_fractional_factor(p3, params) is False
+    report = is_fractional_id_factor_critical(p3, params)
+    assert (report.verdict, report.failing_set, report.independent_sets_checked) == (
+        False,
+        frozenset(),
+        1,
+    )

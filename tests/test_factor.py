@@ -19,7 +19,6 @@ from fracfactor import (
     empty_graph,
     factor,
     find_fractional_factor,
-    format_assignment,
     has_fractional_factor,
     has_fractional_factor_bruteforce,
     path_graph,
@@ -485,19 +484,6 @@ def test_validate_assignment_compares_totals_exactly_at_both_ends():
     assert validate_assignment(k4, params, FractionalAssignment(values)).ok
     values[(2, 3)] -= Fraction(1, 300)  # 2 and 3 sit at 1 - 1/300, just below a
     assert not validate_assignment(k4, params, FractionalAssignment(values)).ok
-
-
-def test_assignment_text_round_trip():
-    c4 = cycle_graph(4)
-    halves = FractionalAssignment({e: Fraction(1, 2) for e in c4.edges()})
-    text = format_assignment(halves)
-    assert "0 1 1/2" in text.splitlines()
-
-
-def test_assignment_format_lowest_terms():
-    h = FractionalAssignment({(0, 1): Fraction(2, 4), (1, 2): Fraction(0), (2, 3): 1})
-    lines = format_assignment(h).splitlines()
-    assert lines == ["0 1 1/2", "1 2 0/1", "2 3 1/1"]
 
 
 def test_certificate_requires_negative_delta():

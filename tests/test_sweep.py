@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,9 +21,12 @@ from fracfactor import (
     run_sweep,
     sweep,
 )
+from fracfactor.constructions import SharpnessCheck, SharpnessReport
 from fracfactor.sweep import (
     EXHAUSTIVE_ORDER_LIMIT,
     RANDOM_INSTANCE_LIMIT,
+    Counterexample,
+    PairSummary,
     _masks_with_min_degree,
     derive_seed,
 )
@@ -95,9 +100,9 @@ def test_parse_refuses_huge_probability_exponents(monkeypatch, p):
 
 def test_config_rejects_orders_above_cap():
     # Criticality is bounded by sets decided, not by order; MAX_ORDER still bounds the graphs.
-    random_config((25,), (Fraction(1, 2),), 1).validate()
+    random_config((25,), (Fraction(1, 2),), 1)
     with pytest.raises(ResourceLimitError, match="order 1001 exceeds the maximum of 1000"):
-        random_config((25, 1001), (Fraction(1, 2),), 1).validate()
+        random_config((25, 1001), (Fraction(1, 2),), 1)
 
 
 def test_the_invariant_audit_is_refused_past_the_budget(monkeypatch):
@@ -135,7 +140,7 @@ def test_config_rejects_malformed_ensembles(changes, message):
         "random_samples": 1,
     }
     with pytest.raises(InputError, match=message):
-        SweepConfig(**{**fields, **changes}).validate()
+        SweepConfig(**{**fields, **changes})
 
 
 @pytest.mark.parametrize("orders", ["0", "-3", "6 0"])
@@ -147,15 +152,14 @@ def test_random_orders_below_one_are_refused_before_any_work(monkeypatch, orders
     text = CONFIG_TEXT.replace("orders = 6", f"orders = {orders}")
     with pytest.raises(InputError, match="random orders must be >= 1"):
         parse_sweep_config(text)
-    config = SweepConfig(
-        pairs=((1, 1),),
-        exhaustive_max_n=6,
-        random_orders=tuple(int(tok) for tok in orders.split()),
-        random_probabilities=(Fraction(1, 2),),
-        random_samples=1,
-    )
     with pytest.raises(InputError, match="random orders must be >= 1"):
-        run_sweep(config)
+        SweepConfig(
+            pairs=((1, 1),),
+            exhaustive_max_n=6,
+            random_orders=tuple(int(tok) for tok in orders.split()),
+            random_probabilities=(Fraction(1, 2),),
+            random_samples=1,
+        )
 
 
 def test_exhaustive_order_is_capped():
@@ -165,7 +169,7 @@ def test_exhaustive_order_is_capped():
         with pytest.raises(ResourceLimitError, match="cap of 7"):
             parse_sweep_config(text.format(max_n))
         with pytest.raises(ResourceLimitError):
-            SweepConfig(pairs=((1, 1),), exhaustive_max_n=max_n).validate()
+            SweepConfig(pairs=((1, 1),), exhaustive_max_n=max_n)
 
 
 def random_config(orders, probabilities, samples):
@@ -183,15 +187,13 @@ def test_random_ensemble_is_capped_before_any_work(monkeypatch):
 
     monkeypatch.setattr(sweep, "random_graph", never_drawn)
     half, third = Fraction(1, 2), Fraction(1, 3)
-    random_config((8, 9), (half,), RANDOM_INSTANCE_LIMIT // 2).validate()
+    random_config((8, 9), (half,), RANDOM_INSTANCE_LIMIT // 2)
     for orders, probabilities, samples in [
         ((8,), (half,), 10**12),
         ((8, 9), (half,), RANDOM_INSTANCE_LIMIT // 2 + 1),
         ((8, 9), (half, third), RANDOM_INSTANCE_LIMIT // 4 + 1),
     ]:
         with pytest.raises(ResourceLimitError, match="cap of 1000000"):
-            random_config(orders, probabilities, samples).validate()
-        with pytest.raises(ResourceLimitError):
             run_sweep(random_config(orders, probabilities, samples))
     text = CONFIG_TEXT.replace("samples = 5", "samples = 1000000000000")
     assert text != CONFIG_TEXT
@@ -209,7 +211,7 @@ def test_random_ensemble_is_capped_before_any_work(monkeypatch):
 )
 def test_repeated_random_orders_and_probabilities_are_refused(orders, probabilities, message):
     with pytest.raises(InputError, match=message):
-        random_config(orders, probabilities, 3).validate()
+        random_config(orders, probabilities, 3)
 
 
 def test_repeated_values_in_a_config_file_are_refused():
@@ -367,3 +369,28 @@ def test_exhaustive_sweep_matches_a_check_of_every_labeled_graph(monkeypatch, pa
     assert found == expected
     assert summary.condition_passing == len(expected)
     assert summary.graphs_examined == sum(1 for _ in labeled_graphs(max_n))
+
+
+def test_derived_report_dicts_are_their_fields_plus_flags():
+    # Each to_dict is asdict plus its derived flags; the overrides keep tuples
+    # and nested reports JSON-native, so dropping one fails the round trip.
+    cex = Counterexample("exhaustive/n=2/mask=1", 1, 1, "invariants", 2, ((0, 1),), {"s": [0]})
+    check = SharpnessCheck(name="order-formula", passed=True, required=True, detail="n = 9")
+    reports = [
+        (
+            check_criticality_conditions(Graph(4, [(0, 1), (1, 2), (2, 3)]), FactorParams(1, 1)),
+            {"order_ok", "min_degree_ok", "neighborhood_ok", "all_ok"},
+        ),
+        (
+            DeletionCheck(set_size=1, size_margin=2, deleted_min_degree=1, min_degree_margin=0),
+            {"size_ok", "min_degree_ok", "consistent"},
+        ),
+        (cex, set()),
+        (PairSummary(a=1, b=1, graphs_examined=2, counterexamples=[cex]), set()),
+        (SharpnessReport("degree-extremal", 1, 1, 2, 9, (check,)), set()),
+    ]
+    for report, flags in reports:
+        d = report.to_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(report)} | flags, type(report)
+        assert all(d[flag] == getattr(report, flag) for flag in flags)
+        assert json.loads(json.dumps(d)) == d, type(report)
