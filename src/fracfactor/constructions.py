@@ -161,7 +161,7 @@ def random_graph(n: int, p: Fraction | float, seed: int) -> Graph:
     Pairs are visited in fixed lexicographic order, so the same seed always
     produces the same graph, bit for bit.
     """
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # a bool is refused too
         raise InputError(f"n must be a nonnegative integer, got {n!r}")
     require_order(n)
     if not 0 <= p <= 1:

@@ -9,12 +9,14 @@ by a degree-style test: G has one iff
 where T is the set of vertices outside S whose degree in G - S is at most a.
 A subset S breaking the inequality is a compact non-existence certificate.
 
-Three independent procedures live here. The subset scan applies the test
-verbatim (exponential, capped) and yields certificates. The b-matching
-search of has_fractional_factor decides existence in polynomial time at any
-order. The constructive solver builds a witness from a feasible flow on the
-bipartite double cover of G; an integral flow folds back to a half-integral
-factor, so its witnesses only ever use the values 0, 1/2 and 1.
+Three independent procedures live here. The subset scan (exponential,
+capped) yields certificates: it walks the sets T in which no member has
+more than a neighbours, and reads off each one the S that does worst with
+it. The b-matching search of has_fractional_factor decides existence in
+polynomial time at any order. The constructive solver builds a witness from
+a feasible flow on the bipartite double cover of G; an integral flow folds
+back to a half-integral factor, so its witnesses only ever use the values
+0, 1/2 and 1.
 
 All arithmetic is on exact integers and fractions. No floats.
 """
@@ -43,7 +45,7 @@ class FactorParams:
     b: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+        if type(self.a) is not int or type(self.b) is not int:  # a bool is refused too
             raise InputError("factor parameters must be integers")
         if not 1 <= self.a <= self.b:
             raise InputError(f"need 1 <= a <= b, got a={self.a}, b={self.b}")
@@ -131,7 +133,7 @@ def delta_st(g: Graph, params: FactorParams, s: object) -> tuple[frozenset[int],
 def has_fractional_factor_bruteforce(
     g: Graph, params: FactorParams
 ) -> Union[Literal[True], ViolationCertificate]:
-    """Scan every vertex subset; True if all pass, else the worst certificate.
+    """Test every vertex subset; True if all pass, else the worst certificate.
 
     The reported S has the most negative delta and, among those, the
     smallest |S|. That S is unique, so no other tie-break is needed. On
@@ -146,6 +148,35 @@ def has_fractional_factor_bruteforce(
       M. Queyranne, Math. Programming Study 13, 1980), and two such cuts
       meet in one with disjoint sides, so S1 & S2 minimises delta whenever
       S1 and S2 do, and a second smallest minimiser would give a smaller one.
+
+    The scan walks the sets T and reads an S off each, not the sets S. Call
+    T a-sparse when each member has at most a neighbours inside T.
+    - For disjoint S and T let f(S, T) = b|S| + the sum over x in T of
+      (|N(x) - S| - a). It equals the sum over x in T of (deg x - a) plus
+      the sum over y in S of (b - |N(y) & T|). delta(S) is the least f(S, T)
+      over T in V - S, reached at delta's own T.
+    - Fix T. The smallest S minimising f(., T) is S*(T), the y outside T
+      with |N(y) & T| > b; every minimiser contains it. Let g(T) be
+      f(S*(T), T). Then g(T) >= delta(S*(T)).
+    - Let S be the worst set and T0 its own T. Each x in T0 has at most a
+      neighbours outside S, and its neighbours in T0 are among them, so T0
+      is a-sparse. g(T0) <= f(S, T0) = delta(S) <= delta(S*(T0)) <= g(T0),
+      and S*(T0) is inside S, so by uniqueness S*(T0) = S.
+    - So the least (g(T), |S*(T)|) over the a-sparse T is (delta(S), |S|),
+      and any T attaining it has S*(T) = S. Only keys below (0, 0) count;
+      the empty T gives exactly (0, 0).
+    The walk keeps an explicit stack of (T, the lowest vertex T may still
+    gain, the sum over T of (deg x - a)). y joins T only while y, and each
+    of y's neighbours in T, has at most a neighbours in T + y; a neighbour
+    of degree at most a never has more, so only the others are counted.
+    Being a-sparse is hereditary, so each a-sparse T is reached exactly
+    once, from T less its highest vertex. Each T is evaluated, and its
+    children pushed, in one pass over V - T, as a walk over the sets S
+    would spend on each S. While |T| <= b, or if no vertex has degree above
+    b, no vertex has more than b neighbours in T, so S*(T) is empty and the
+    pass visits only the vertices T may still gain. At most 2^n sets T are
+    visited, one pass each.
+
     Raises ResourceLimitError above the cap; find_fractional_factor handles
     any order in polynomial time.
     """
@@ -157,26 +188,38 @@ def has_fractional_factor_bruteforce(
     n = g.n
     a, b = params.a, params.b
     masks = g.adjacency_masks()
+    above_a = sum(1 << y for y, mask in enumerate(masks) if mask.bit_count() > a)
+    # S*(T) is empty while |T| <= b, and for every T when no degree exceeds b
+    s_floor = b if any(mask.bit_count() > b for mask in masks) else n
     full = (1 << n) - 1
 
     best_key: tuple[int, int] = (0, 0)
     best_mask = -1
-    for smask in range(1 << n):
-        comp = full & ~smask
-        t_size = 0
-        degree_sum = 0
-        rem = comp
-        while rem:
-            low = rem & -rem
-            x = low.bit_length() - 1
-            rem ^= low
-            dx = (masks[x] & comp).bit_count()
-            if dx <= a:
-                t_size += 1
-                degree_sum += dx
-        delta = b * smask.bit_count() + degree_sum - a * t_size
-        if delta < 0:
-            key = (delta, smask.bit_count())
+    stack = [(0, 0, 0)]  # (T, the lowest vertex T may still gain, the sum over T of deg - a)
+    while stack:
+        tmask, low, base = stack.pop()
+        gain, smask = base, 0
+        rest = full ^ tmask if tmask.bit_count() > s_floor else full >> low << low
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            y = bit.bit_length() - 1
+            inner = masks[y] & tmask
+            c = inner.bit_count()
+            if c > b:
+                gain += b - c
+                smask |= bit
+            elif y >= low and c <= a:
+                inner &= above_a
+                while inner:  # y is barred by a neighbour that already has a neighbours in T
+                    member = inner & -inner
+                    if (masks[member.bit_length() - 1] & tmask).bit_count() == a:
+                        break
+                    inner ^= member
+                else:
+                    stack.append((tmask | bit, y + 1, base + masks[y].bit_count() - a))
+        if gain < 0:
+            key = (gain, smask.bit_count())
             if key < best_key:
                 best_key = key
                 best_mask = smask

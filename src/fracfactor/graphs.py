@@ -29,19 +29,26 @@ class Graph:
     __slots__ = ("n", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:  # a bool is refused too
             raise InputError(f"vertex count must be a nonnegative integer, got {n!r}")
         require_order(n)
         masks = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
-            if u == v:
-                raise InputError(f"loop at vertex {u} is not allowed")
-            if (masks[u] >> v) & 1:
-                raise InputError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+        edge = None
+        try:
+            for edge in edges:
+                u, v = edge
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
+                if u == v:
+                    raise InputError(f"loop at vertex {u} is not allowed")
+                if (masks[u] >> v) & 1:
+                    raise InputError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+        except InputError:
+            raise
+        except (TypeError, ValueError):  # not a pair, or an endpoint that is not an int
+            raise InputError(f"malformed edge {edge!r}: need a pair of integer vertex ids") from None
         self.n = n
         self._masks: tuple[int, ...] = tuple(masks)
 
@@ -114,7 +121,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
     def _check_vertex(self, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < self.n:
+        if type(v) is not int or not 0 <= v < self.n:  # a bool is refused too
             raise InputError(f"vertex {v!r} out of range for {self.n} vertices")
 
 

@@ -42,6 +42,12 @@ def test_params_validate():
         FactorParams(1, "2")
 
 
+@pytest.mark.parametrize("a, b", [(True, True), (1, True), (True, 2)])
+def test_params_refuse_bools(a, b):
+    with pytest.raises(InputError, match="must be integers"):
+        FactorParams(a, b)
+
+
 # -- delta_st -----------------------------------------------------------------
 
 
@@ -137,6 +143,41 @@ def test_bruteforce_tiebreak_prefers_smaller_set():
     assert cert.t == t_empty == frozenset({0, 1, 2})
     ref = naive_violation(3, g.edges(), 2, 2)
     assert (set(cert.s), set(cert.t), cert.delta) == ref
+
+
+def test_bruteforce_worst_t_may_hold_an_edge():
+    # K2 under (2, 2): both endpoints sit in the worst T with S empty, so a
+    # walk over the independent sets T alone would miss the certificate.
+    cert = has_fractional_factor_bruteforce(complete_graph(2), FactorParams(2, 2))
+    assert (cert.s, cert.t, cert.delta) == (frozenset(), frozenset({0, 1}), -2)
+    assert naive_violation(2, [(0, 1)], 2, 2) == (set(), {0, 1}, -2)
+
+
+SCAN_PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+
+
+def assert_scan_is_the_oracle(g: Graph, a: int, b: int) -> None:
+    scan = has_fractional_factor_bruteforce(g, FactorParams(a, b))
+    got = None if scan is True else (set(scan.s), set(scan.t), scan.delta)
+    assert got == naive_violation(g.n, g.edges(), a, b), (g.n, g.edges(), a, b)
+
+
+def test_scan_certificate_is_the_oracles_on_every_graph_to_order_5():
+    for n in range(6):
+        slots = list(combinations(range(n), 2))
+        for mask in range(1 << len(slots)):
+            g = Graph(n, [slots[i] for i in range(len(slots)) if (mask >> i) & 1])
+            for a, b in SCAN_PAIRS:
+                assert_scan_is_the_oracle(g, a, b)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_scan_certificate_is_the_oracles_on_random_graphs(n):
+    for p in (Fraction(1, 5), Fraction(1, 2), Fraction(4, 5)):
+        g = random_graph(n, p, 1000 * n + p.denominator)
+        top = max(1, max(g.degrees()))  # with a >= the maximum degree every T is a-sparse
+        for a, b in SCAN_PAIRS[n % 3 :: 3] + [(top, top), (top, top + 2)]:
+            assert_scan_is_the_oracle(g, a, b)
 
 
 # -- flow solver --------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from fracfactor import (
@@ -13,6 +15,7 @@ from fracfactor import (
     graphs,
     parse_edge_list,
     path_graph,
+    random_graph,
 )
 
 from oracle import adjacency
@@ -67,6 +70,30 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InputError):
         Graph(-1)
+
+
+@pytest.mark.parametrize("edge", [(0.0, 1), (0, 1.5), ("0", 1), (0, 1, 2), (0,), None])
+def test_construction_names_a_malformed_edge(edge):
+    with pytest.raises(InputError, match=re.escape(f"malformed edge {edge!r}")):
+        Graph(3, [(1, 2), edge])
+
+
+def test_construction_refuses_edges_that_are_not_a_list_of_pairs():
+    with pytest.raises(InputError, match="malformed edge"):
+        Graph(3, 5)
+
+
+def test_bool_is_refused_as_an_order_and_as_a_vertex():
+    for build in (Graph, empty_graph, complete_graph, path_graph):
+        with pytest.raises(InputError, match="vertex count"):
+            build(True)
+    with pytest.raises(InputError, match="n must be"):
+        random_graph(True, 0, 0)
+    g = path_graph(3)
+    with pytest.raises(InputError, match="vertex True"):
+        g.vertex_subset([True])
+    with pytest.raises(InputError, match="vertex False"):
+        g.degree(False)
 
 
 def test_degree_queries():
