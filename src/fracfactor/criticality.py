@@ -6,15 +6,14 @@ only maximal independent sets would be unsound: deleting a smaller set
 leaves more vertices behind and can fail where larger deletions succeed, so
 the check below covers every independent set, smallest first. It decides
 one set per orbit under twin swaps, which give isomorphic deletions, and
-counts the rest of each orbit by its size.
+counts the sets apart from deciding them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import comb, prod
-from typing import Iterator
+from math import comb
+from typing import Callable, Iterator
 
 from .errors import ResourceLimitError
 from .factor import (
@@ -25,9 +24,9 @@ from .factor import (
 )
 from .graphs import Graph, mask_vertices
 
-# Canonical sets deletion_verdicts may decide per check. No graph of order <= 20
-# has more independent sets. A set took 2.1-10.3 us on G(60..1000, p) under (1, 2)
-# and (3, 3) (CPython 3.11, 2-core Xeon), so a trip takes about 2-11 s.
+# Canonical sets deletion_verdicts may decide, and masks the count may memoize, per
+# check; no graph of order <= 20 reaches either. A set took 2.1-10.3 us on G(60..1000, p)
+# under (1, 2) and (3, 3) (CPython 3.11, 2-core Xeon), so a trip takes about 2-11 s.
 CRITICALITY_BUDGET = 2**20
 
 
@@ -159,8 +158,8 @@ def twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [groups[nbrs] | groups[nbrs | 1 << v] for v, nbrs in enumerate(adj)]
 
 
-def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, int, bool]]:
-    """Yield (I, orbit size, whether G - I has a fractional [a,b]-factor) over a DFS of canonical I.
+def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, bool]]:
+    """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of canonical I.
 
     I is a vertex bitmask. Each G - I is the b-matching of
     factor.augmenting_search with I's vertices masked out of alive: G - I
@@ -188,13 +187,6 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, int
     class's lowest member; a child's drops v's neighbours and gains v's
     next-higher twin, unless that is a true twin, which neighbours v.
 
-    The orbit size is the product over twin classes K of binom(|K|, |I & K|)
-    (|K| for a true-twin class, which I meets at most once). The root's is 1,
-    and a child's is its parent's times (|K| - c) / (c + 1), where K is v's
-    class and c = |I & K| before v joins: binom(|K|, c) * (|K| - c) =
-    binom(|K|, c + 1) * (c + 1), so the division is exact. A true-twin class
-    always has c = 0, so it multiplies by |K|.
-
     The child copies the parent's saturated b-matching and drops v's units
     in and out. Every sender that lost its unit into v (at most b of them)
     is then one short, and one restore call searches for each in turn,
@@ -210,12 +202,11 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, int
     classes = twin_classes(adj)
     above = [k & -(2 << v) for v, k in enumerate(classes)]  # each vertex's higher twins
     next_twin = [m & -m for m in above]
-    class_size = [k.bit_count() for k in classes]
     smallest_failure = n + 1
 
     def children(
-        ind: int, orbit: int, allowed: int, parent: tuple[list[int], list[int], int, int]
-    ) -> Iterator[tuple[int, int, bool]]:
+        ind: int, allowed: int, parent: tuple[list[int], list[int], int, int]
+    ) -> Iterator[tuple[int, bool]]:
         nonlocal smallest_failure
         parent_used, parent_owners, parent_full, parent_alive = parent
         size = ind.bit_count() + 1
@@ -242,13 +233,11 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, int
             alive = parent_alive ^ bit
             full = restore(senders, used, owners, parent_full & ~parent_used[v] & ~bit, alive)
             child = ind | bit
-            c = (ind & classes[v]).bit_count()
-            child_orbit = orbit * (class_size[v] - c) // (c + 1)
             ok = full >= 0
-            yield child, child_orbit, ok
+            yield child, ok
             if ok:
                 child_allowed = (allowed | next_twin[v]) & ~adj[v]
-                yield from children(child, child_orbit, child_allowed, (used, owners, full, alive))
+                yield from children(child, child_allowed, (used, owners, full, alive))
             else:
                 smallest_failure = size
 
@@ -256,76 +245,85 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, int
     rounds = (v for _ in range(params.a) for v in range(n))  # lazy: a may be huge
     full = restore(rounds, used, owners, 0, alive)  # all start a units short
     ok = full >= 0
-    yield 0, 1, ok
+    yield 0, ok
     if ok:
         lowest = sum({k & -k for k in classes})  # each class's lowest member
-        yield from children(0, 1, lowest, (used, owners, full, alive))
+        yield from children(0, lowest, (used, owners, full, alive))
 
 
 def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:
     """The first independent set I in (size, lex) order with no factor on G - I, or None.
 
     Also returns I's 1-based index in enumerate_independent_sets order, or
-    the number of independent sets when none fails. Raises
-    ResourceLimitError once deletion_verdicts has decided more than
-    CRITICALITY_BUDGET sets.
+    the number of independent sets when none fails, counted apart from the
+    deciding by _independent_counter. Raises ResourceLimitError once more
+    than CRITICALITY_BUDGET sets are decided, or that many masks counted.
 
-    deletion_verdicts decides every canonical set smaller than I, every
-    canonical set of I's size up to I, and no other set of I's size or
-    more. Each canonical set C stands for its orbit, whose size
-    deletion_verdicts yields with it. Orbits partition the independent
-    sets, and each holds its own canonical set, so:
-    - the sets smaller than I are the orbits of the smaller decided sets;
-    - a set D of I's size with D <= I has its canonical set C <= D <= I,
-      a decided set, so the sets of I's size up to I are the orbits of the
-      decided sets of that size, less their members after I.
-    _orbit_after counts those members. Only sets whose orbit exceeds 1 are
-    kept for it: an orbit of one is C itself, which is at most I. The twin
-    classes are computed again only when some set fails.
+    The total is count(V, n). A failing I of size k follows the count(V, k - 1)
+    smaller sets and each D of size k below it in lex order: D shares a
+    prefix P with I, then takes a smaller vertex x free of P (above P's
+    maximum, outside N(P)), then k - |P| - 1 vertices free of P + x.
     """
-    failing, by_size = None, [0] * (g.n + 1)
-    shared: list[list[int]] = [[] for _ in by_size]  # sets whose orbit has other members
-    for decided, (ind, orbit, ok) in enumerate(deletion_verdicts(g, params), 1):
+    failing = None
+    for decided, (ind, ok) in enumerate(deletion_verdicts(g, params), 1):
         if decided > CRITICALITY_BUDGET:
             raise ResourceLimitError(
                 f"criticality check on {g.n} vertices: over {CRITICALITY_BUDGET} sets decided"
             )
-        size = ind.bit_count()
-        by_size[size] += orbit
-        if orbit > 1:
-            shared[size].append(ind)
         if not ok:
             failing = ind
+    count, adj, free = _independent_counter(g), g.adjacency_masks(), (1 << g.n) - 1
     if failing is None:
-        return None, sum(by_size)
+        return None, count(free, g.n)
     k = failing.bit_count()
-    classes = twin_classes(g.adjacency_masks())
-    after = sum(_orbit_after(c, failing, classes) for c in shared[k])
-    return frozenset(mask_vertices(failing)), sum(by_size[: k + 1]) - after
+    index = count(free, k - 1) + 1
+    for need, v in zip(range(k, 0, -1), mask_vertices(failing)):
+        for x in mask_vertices(free & ((1 << v) - 1)):
+            rest = free & -(2 << x) & ~adj[x]
+            index += count(rest, need - 1) - count(rest, need - 2)
+        free &= -(2 << v) & ~adj[v]
+    return frozenset(mask_vertices(failing)), index
 
 
-def _orbit_after(c: int, f: int, classes: list[int]) -> int:
-    """How many sets of canonical set c's twin orbit come after f in lex order.
+def _independent_counter(g: Graph) -> Callable[[int, int], int]:
+    """count(mask, k): the independent sets of g of size at most k inside mask.
 
-    c and f are vertex bitmasks of one size. Such a set D agrees with f
-    below some position j and has a larger j-th member x. Taking f's first
-    j members and then x leaves need[K] members to pick from each class K,
-    all above x: binom(|K above x|, need[K]) ways per class. Once f's first
-    j members do not fit c's class counts, no set of the orbit starts with
-    them.
+    A nonempty set is its lowest member v and at most k - 1 vertices of mask
+    above v outside N(v), so the recursion is at most k deep. An edgeless
+    mask of m vertices holds sum(binom(m, j) for j <= k), with k cut to m.
+    Only masks with an edge are memoized, fewer than g has independent sets,
+    so no graph of order <= 20 reaches CRITICALITY_BUDGET = 2^20. Each is the
+    free mask of an independent set Q, with k + |Q| = n for the total, or
+    k_F - 1 or k_F for a failing set of size k_F: two keys per Q at most. An
+    edge uw in it makes Q + u and Q + w independent sets whose maximum drops
+    back to Q, so distinct Q own distinct pairs of them.
     """
-    need = Counter(classes[v] for v in mask_vertices(c))
-    after = 0
-    for v in mask_vertices(f):
-        for x in range(v + 1, len(classes)):
-            if need[classes[x]]:
-                need[classes[x]] -= 1
-                after += prod(comb((k >> x + 1).bit_count(), r) for k, r in need.items())
-                need[classes[x]] += 1
-        if not need[classes[v]]:
-            break
-        need[classes[v]] -= 1
-    return after
+    adj = g.adjacency_masks()
+    memo: dict[tuple[int, int], int] = {}
+
+    def count(mask: int, k: int) -> int:
+        m = mask.bit_count()
+        k = min(k, m)
+        if k < 2:
+            return 1 + k * m if k >= 0 else 0
+        total = memo.get((mask, k))
+        if total is not None:
+            return total
+        vertices = mask_vertices(mask)
+        if not any(adj[v] & mask for v in vertices):  # edgeless
+            return 1 << m if k == m else sum(comb(m, j) for j in range(k + 1))
+        total = 1
+        for v in vertices:  # one frame per level; a child of size <= 1, or at k = 2, is 1 + size
+            child = mask & -(2 << v) & ~adj[v]
+            total += count(child, k - 1) if k > 2 and child & (child - 1) else 1 + child.bit_count()
+        if len(memo) >= CRITICALITY_BUDGET:
+            raise ResourceLimitError(
+                f"criticality check on {g.n} vertices: over {CRITICALITY_BUDGET} masks counted"
+            )
+        memo[mask, k] = total
+        return total
+
+    return count
 
 
 def is_fractional_id_factor_critical(g: Graph, params: FactorParams) -> CriticalityReport:

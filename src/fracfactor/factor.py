@@ -90,6 +90,9 @@ class FractionalAssignment:
     def __post_init__(self) -> None:
         norm: dict[Edge, Fraction] = {}
         for key, val in self.values.items():
+            pair = type(key) is tuple and len(key) == 2
+            if not (pair and type(key[0]) is int and type(key[1]) is int):  # a bool is refused too
+                raise InputError(f"assignment key {key!r} is not a pair of integer vertex ids")
             u, v = key
             if u >= v:
                 raise InputError(f"assignment key ({u}, {v}) must satisfy u < v")

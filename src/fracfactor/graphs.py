@@ -138,27 +138,6 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
 # -- standard families ------------------------------------------------------
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
-def complete_graph(n: int) -> Graph:
-    require_order(n)
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path_graph(n: int) -> Graph:
-    require_order(n)
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InputError("a cycle needs at least 3 vertices")
-    require_order(n)
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; parts occupy consecutive index blocks."""
     if any(s < 0 for s in sizes):

@@ -17,8 +17,6 @@ from fracfactor import (
     Graph,
     Infeasible,
     SweepConfig,
-    complete_graph,
-    cycle_graph,
     delta_st,
     find_fractional_factor,
     has_fractional_factor_bruteforce,
@@ -26,7 +24,6 @@ from fracfactor import (
     min_degree_extremal_graph,
     neighborhood_extremal_graph,
     order_margin,
-    path_graph,
     run_sweep,
     validate_assignment,
 )
@@ -34,6 +31,8 @@ from fracfactor.conditions import check_criticality_conditions
 from fracfactor.constructions import random_graph
 from fracfactor.graphs import complete_multipartite_graph
 from fracfactor.sweep import derive_seed
+
+from standard_graphs import complete_graph, cycle_graph, path_graph
 
 BASE_SEED = 20260819
 

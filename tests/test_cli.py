@@ -7,17 +7,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fracfactor import (
-    complete_graph,
     constructions,
     criticality,
-    cycle_graph,
     format_edge_list,
     parse_edge_list,
-    path_graph,
     sweep,
 )
 from fracfactor import cli
 from fracfactor.cli import main
+
+from standard_graphs import complete_graph, cycle_graph, path_graph
 
 
 @pytest.fixture

@@ -9,20 +9,17 @@ from fracfactor import (
     InputError,
     check_criticality_conditions,
     check_deletion_invariants,
-    complete_graph,
     complete_multipartite_graph,
-    cycle_graph,
     degree_margin,
-    empty_graph,
     maximal_independent_sets,
     neighborhood_margin,
     order_margin,
-    path_graph,
     random_graph,
 )
 from fracfactor.sweep import _degree_floor
 
 from oracle import adjacency
+from standard_graphs import complete_graph, cycle_graph, empty_graph, path_graph
 
 P11 = FactorParams(1, 1)
 PAIRS = [FactorParams(a, b) for a, b in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 3))]

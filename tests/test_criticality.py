@@ -1,6 +1,7 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations
-from math import comb, prod
+from itertools import accumulate, combinations
+from math import comb
 
 import pytest
 
@@ -10,11 +11,8 @@ from fracfactor import (
     InputError,
     ResourceLimitError,
     check_criticality_conditions,
-    complete_graph,
     complete_multipartite_graph,
     criticality,
-    cycle_graph,
-    empty_graph,
     enumerate_independent_sets,
     first_failing_set,
     has_fractional_factor,
@@ -24,7 +22,6 @@ from fracfactor import (
     min_degree_extremal_graph,
     neighborhood_extremal_graph,
     order_margin,
-    path_graph,
     random_graph,
 )
 from fracfactor.criticality import deletion_verdicts, twin_classes
@@ -33,6 +30,7 @@ from fracfactor.graphs import Graph
 from fracfactor.maxflow import feasible_flow
 
 from oracle import adjacency, naive_deletion, naive_has_factor, naive_independent_sets
+from standard_graphs import complete_graph, cycle_graph, empty_graph, path_graph
 
 P11 = FactorParams(1, 1)
 
@@ -156,7 +154,7 @@ def decided_sets(g, params):
     """deletion_verdicts as (I, verdict) pairs, each bitmask I turned back into a frozenset."""
     return [
         (frozenset(v for v in range(g.n) if ind >> v & 1), ok)
-        for ind, _, ok in deletion_verdicts(g, params)
+        for ind, ok in deletion_verdicts(g, params)
     ]
 
 
@@ -311,48 +309,70 @@ def test_weighted_count_is_the_unpruned_index_on_the_extremal_families():
     assert checked == 27 * len(PAIRS)
 
 
-@pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 3)])
-def test_orbit_sizes_match_an_independent_count(monkeypatch, a, b):
-    # Each orbit size first_failing_set reads is the product of binom(|K|, |I & K|)
-    # over twin classes K built here from the oracle's neighbourhood sets, and it
-    # hands _orbit_after only sets whose orbit has other members.
-    yielded, handed = [], []
-    real_verdicts, real_after = criticality.deletion_verdicts, criticality._orbit_after
+def assert_counts_match_the_oracle(g):
+    sizes = Counter(len(ind) for ind in naive_independent_sets(g.n, g.edges()))
+    count, everything = criticality._independent_counter(g), (1 << g.n) - 1
+    at_most = list(accumulate(sizes[k] for k in range(g.n + 1)))
+    assert [count(everything, k) for k in range(-1, g.n + 1)] == [0] + at_most
 
-    def verdicts(g, params):
-        for triple in real_verdicts(g, params):
-            yielded.append(triple)
-            yield triple
 
-    def orbit_after(c, f, classes):
-        handed.append(c)
-        return real_after(c, f, classes)
+def test_counts_by_size_match_the_oracle_on_every_small_graph():
+    for g in labeled_graphs(6):
+        assert_counts_match_the_oracle(g)
 
-    monkeypatch.setattr(criticality, "deletion_verdicts", verdicts)
-    monkeypatch.setattr(criticality, "_orbit_after", orbit_after)
-    params = FactorParams(a, b)
-    critical = 0
-    for g in chain(labeled_graphs(6), extremal_instances()):
-        adj = adjacency(g.n, g.edges())
-        twins = {  # each vertex's class as a bitmask
-            sum(1 << u for u in adj if adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v})
-            for v in adj
-        }
-        classes = [k for k in twins if k.bit_count() > 1]  # a class of one adds a factor 1
 
-        def orbit_of(ind):
-            return prod(comb(k.bit_count(), (ind & k).bit_count()) for k in classes)
+def test_counts_by_size_match_the_oracle_on_random_graphs():
+    for n in range(7, 17):
+        for p in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)):
+            assert_counts_match_the_oracle(random_graph(n, p, 10 * n + p.denominator))
 
-        yielded.clear()
-        handed.clear()
-        failing, index = first_failing_set(g, params)
-        assert [orbit for _, orbit, _ in yielded] == [orbit_of(ind) for ind, _, _ in yielded]
-        assert all(orbit_of(c) > 1 for c in handed)
-        if failing is None:
-            total = sum(orbit for _, orbit, _ in yielded)
-            assert total == index == len(naive_independent_sets(g.n, g.edges()))
-            critical += 1
-    assert critical > 0
+
+def test_counting_the_complete_graph_of_order_1000_stays_shallow():
+    # every free mask below the root is empty, so no RecursionError at any order
+    assert first_failing_set(complete_graph(1000), P11) == (None, 1001)
+
+
+def test_a_small_failure_is_indexed_without_counting_larger_sets(monkeypatch):
+    # G(50, 1/8) fails at {16}: the index needs sets of size <= 1 only, not all 2^50 masks
+    asked = []
+    real = criticality._independent_counter
+
+    def counter(g):
+        count = real(g)
+
+        def recorded(mask, k):
+            asked.append(k)
+            return count(mask, k)
+
+        return recorded
+
+    monkeypatch.setattr(criticality, "_independent_counter", counter)
+    assert first_failing_set(random_graph(50, Fraction(1, 8), 1), P11) == (frozenset({16}), 18)
+    assert max(asked) <= 1
+
+
+def test_the_index_of_a_complete_tripartite_failure_counts_by_binomials():
+    # K_{300,300,301} under (1,1): every set of 299 or fewer vertices of one part
+    # leaves a fractional perfect matching, and the first part {0..299} does not
+    g = complete_multipartite_graph((300, 300, 301))
+    smaller = sum(2 * comb(300, j) + comb(301, j) for j in range(1, 300))
+    assert first_failing_set(g, P11) == (frozenset(range(300)), 1 + smaller + 1)
+
+
+def test_the_count_memoizes_fewer_masks_than_the_graph_has_sets(monkeypatch):
+    # So its cap, CRITICALITY_BUDGET = 2^20 masks, trips at no order <= 20. Only the
+    # failing set is handed over as decided, so the DFS's own cap cannot trip first.
+    real = criticality.deletion_verdicts
+    cases = [(g, FactorParams(a, b)) for g in reference_graphs() if g.n for a, b in PAIRS]
+    cases += [(g, FactorParams(*pair)) for g in extremal_instances() for pair in PAIRS]
+    for g, params in cases:
+        want = first_failing_set(g, params)
+        failing = [(ind, ok) for ind, ok in real(g, params) if not ok][-1:]
+        total = sum(1 for _ in enumerate_independent_sets(g))
+        with monkeypatch.context() as patch:
+            patch.setattr(criticality, "deletion_verdicts", lambda *_: iter(failing))
+            patch.setattr(criticality, "CRITICALITY_BUDGET", total - 1)
+            assert first_failing_set(g, params) == want
 
 
 def test_the_extremal_families_decide_one_set_per_twin_orbit():
@@ -441,6 +461,13 @@ def test_criticality_respects_cap(monkeypatch):
         first_failing_set(g, params)
     with pytest.raises(ResourceLimitError, match=message):
         is_fractional_id_factor_critical(g, params)
+
+    # The count has its own cap on memoized masks: 124 of them for this graph's 3,210 sets.
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 124)
+    assert criticality._independent_counter(g)((1 << 24) - 1, 24) == 3210
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 123)
+    with pytest.raises(ResourceLimitError, match="on 24 vertices: over 123 masks counted"):
+        criticality._independent_counter(g)((1 << 24) - 1, 24)
 
 
 # (a, b, n, p, sample) of seeded G(n, p) past order 20 whose deletions fail on some I

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 
@@ -11,23 +12,20 @@ from fracfactor import (
     InputError,
     ResourceLimitError,
     ViolationCertificate,
-    complete_graph,
     complete_multipartite_graph,
     criticality,
-    cycle_graph,
     delta_st,
-    empty_graph,
     factor,
     find_fractional_factor,
     has_fractional_factor,
     has_fractional_factor_bruteforce,
-    path_graph,
     random_graph,
     validate_assignment,
 )
 from fracfactor import Graph
 
 from oracle import all_subsets, naive_delta, naive_has_factor, naive_violation
+from standard_graphs import complete_graph, cycle_graph, empty_graph, path_graph
 
 P11 = FactorParams(1, 1)
 
@@ -453,6 +451,12 @@ def test_assignment_validates_values():
             FractionalAssignment({(0, 1): bad})
     for good in (Fraction(0), Fraction(1), Fraction(999, 1000), 0, 1, Fraction(1, 2)):
         assert FractionalAssignment({(0, 1): good}).values[(0, 1)] == good
+
+
+@pytest.mark.parametrize("key", [(0,), (0, 1, 2), None, (0.5, 2), (True, 2), ("0", "1")])
+def test_assignment_refuses_keys_that_are_not_integer_pairs(key):
+    with pytest.raises(InputError, match=re.escape(f"assignment key {key!r} is not a pair")):
+        FractionalAssignment({key: 1})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, "1/2", True, 0.25])

@@ -2,8 +2,9 @@
 
 Every name a fracfactor module imports is used there, every module-level
 _private function or class is referenced there, every public method or
-property of a class is read as an attribute somewhere in the library or the
-bench, and the reference oracle imports nothing from fracfactor.
+property of a class and every module-level public function or constant is
+read somewhere in the library or the bench, and the reference oracle
+imports nothing from fracfactor.
 """
 
 import ast
@@ -127,6 +128,62 @@ def test_unused_methods_are_found():
     assert unused_methods(source, [source, reader]) == ["line 11: Shape.planted"]
     assert unused_methods(source, [source]) == ["line 9: Shape.corners", "line 11: Shape.planted"]
     assert len(BENCH) >= 4
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Names that node loads, bare or as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    }
+
+
+def unread_names(source: str, readers: list[str]) -> list[str]:
+    """Module-level public functions and constants of source read neither there nor by readers."""
+    tree = ast.parse(source)
+    read = set().union(*(names_read(ast.parse(text)) for text in readers))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        local = set().union(*(names_read(top) for top in tree.body if top is not node))
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if not name.startswith("_") and name not in read | local
+        ]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_public_names_only_tests_read(path):
+    readers = [p.read_text(encoding="utf-8") for p in MODULES + BENCH if p != path]
+    assert unread_names(path.read_text(encoding="utf-8"), readers) == []
+
+
+def test_unread_names_are_found():
+    source = (
+        "LIMIT = 3\n"
+        "KINDS: dict = {}\n"
+        "_PRIVATE = 1\n"
+        "def used():\n    return LIMIT\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def planted():\n    return None\n"
+    )
+    reader = "import m\nm.used(m.KINDS)\n"
+    assert unread_names(source, [reader]) == ["line 6: recursive", "line 8: planted"]
+    assert unread_names(source, []) == [
+        "line 2: KINDS",
+        "line 4: used",
+        "line 6: recursive",
+        "line 8: planted",
+    ]
 
 
 def library_imports(source: str) -> list[str]:
