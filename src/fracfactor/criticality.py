@@ -24,9 +24,11 @@ from .factor import (
 )
 from .graphs import Graph, mask_vertices
 
-# Canonical sets deletion_verdicts may decide, and masks the count may memoize, per
-# check; no graph of order <= 20 reaches either. A set took 2.1-10.3 us on G(60..1000, p)
-# under (1, 2) and (3, 3) (CPython 3.11, 2-core Xeon), so a trip takes about 2-11 s.
+# Restore calls deletion_verdicts may make (canonical sets decided, plus relaxed solves
+# for a < b), and masks the count may memoize, per check; no graph of order <= 20 reaches
+# either. A set took 2.1-10.3 us on G(60..1000, p) under (1, 2) and (3, 3) (CPython 3.11,
+# 2-core Xeon), so a trip of the first takes about 2-11 s. For a < b the memo is the wall:
+# the conditions' boundary graphs reach it near order 170-180, after about 10 s.
 CRITICALITY_BUDGET = 2**20
 
 
@@ -195,21 +197,85 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
     size k fails, no later set of size k or more is decided, and no failing
     set is extended: the last failing set yielded is the first in (size, lex)
     order.
+
+    A whole subtree can be cleared at once. Before the node I expands, let A
+    be every vertex its subtree can still add: its allowed mask plus each
+    member's higher false twins (true twins neighbour each other, so never
+    join one set). Lemma: if the b-matching in which every vertex outside I
+    sends a units, and only the vertices outside I and A receive, saturates,
+    then G - (I + J) has a fractional [a,b]-factor for every J inside A.
+    Proof: drop J's units out; every vertex outside I + J still sends a
+    units, each to a vertex outside I + A, which lies outside I + J, and
+    loads only fall. So the subtree, all of whose sets are I + J, is skipped.
+    The node's saturated b-matching is copied, every unit sent into A (A's
+    units to A included) is dropped, and one restore call gives each sender
+    left short its units back, with receivers limited to alive - A and full
+    mask full - A. Its a|V - I| units fit the receivers' b(|V - I| - |A|)
+    slots only when b|A| <= (b - a)|V - I|, so the relaxed solve is tried only
+    then, and only with |A| >= 2, where it can stand for more than one set.
+    At a = b the right side is 0, so it is never tried. A cleared subtree
+    holds no failing set, so the first failure and every yielded verdict are
+    as without it. Each restore call, a decided set or a relaxed solve,
+    counts toward CRITICALITY_BUDGET; one more raises ResourceLimitError.
     """
     n = g.n
+    b, spare = params.b, params.b - params.a
     adj = g.adjacency_masks()
-    restore = augmenting_search(adj, params.b)
+    restore = augmenting_search(adj, b)
     classes = twin_classes(adj)
     above = [k & -(2 << v) for v, k in enumerate(classes)]  # each vertex's higher twins
     next_twin = [m & -m for m in above]
+    addable = [m & ~adj[v] for v, m in enumerate(above)]  # higher false twins only
     smallest_failure = n + 1
+    spent = 0  # restore calls, decided sets and relaxed solves; counted inline, not per call
+
+    def over_budget() -> ResourceLimitError:
+        return ResourceLimitError(
+            f"criticality check on {n} vertices: over {CRITICALITY_BUDGET} sets decided"
+        )
+
+    def cleared(allowed: int, used: list[int], owners: list[int], full: int, alive: int) -> bool:
+        """Whether a relaxed solve clears the whole subtree of the node (the lemma above)."""
+        nonlocal spent
+        reach = rest = allowed  # grows to A
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reach |= addable[low.bit_length() - 1]
+        if reach & (reach - 1) == 0 or b * reach.bit_count() > spare * alive.bit_count():
+            return False
+        used, owners, short = used[:], owners[:], []
+        rest = reach
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            into, owners[w] = owners[w], 0
+            while into:
+                unit = into & -into
+                into ^= unit
+                x = unit.bit_length() - 1
+                used[x] ^= low
+                short.append(x)
+        spent += 1
+        if spent > CRITICALITY_BUDGET:
+            raise over_budget()
+        return restore(short, used, owners, full & ~reach, alive & ~reach) >= 0
 
     def children(
         ind: int, allowed: int, parent: tuple[list[int], list[int], int, int]
     ) -> Iterator[tuple[int, bool]]:
-        nonlocal smallest_failure
+        nonlocal smallest_failure, spent
         parent_used, parent_owners, parent_full, parent_alive = parent
         size = ind.bit_count() + 1
+        # at a = b, or when allowed alone fails the gate (A holds allowed), no solve is tried
+        if (
+            spare
+            and size < smallest_failure
+            and b * allowed.bit_count() <= spare * parent_alive.bit_count()
+            and cleared(allowed, *parent)
+        ):
+            return
         while allowed and size < smallest_failure:
             bit = allowed & -allowed
             allowed ^= bit
@@ -231,6 +297,9 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
                 senders.append(x)
             used[v] = owners[v] = 0
             alive = parent_alive ^ bit
+            spent += 1
+            if spent > CRITICALITY_BUDGET:
+                raise over_budget()
             full = restore(senders, used, owners, parent_full & ~parent_used[v] & ~bit, alive)
             child = ind | bit
             ok = full >= 0
@@ -243,6 +312,9 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
 
     used, owners, alive = [0] * n, [0] * n, (1 << n) - 1
     rounds = (v for _ in range(params.a) for v in range(n))  # lazy: a may be huge
+    spent += 1
+    if spent > CRITICALITY_BUDGET:
+        raise over_budget()
     full = restore(rounds, used, owners, 0, alive)  # all start a units short
     ok = full >= 0
     yield 0, ok
@@ -256,8 +328,9 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
 
     Also returns I's 1-based index in enumerate_independent_sets order, or
     the number of independent sets when none fails, counted apart from the
-    deciding by _independent_counter. Raises ResourceLimitError once more
-    than CRITICALITY_BUDGET sets are decided, or that many masks counted.
+    deciding by _independent_counter. Raises ResourceLimitError once
+    deletion_verdicts makes more than CRITICALITY_BUDGET restore calls, sets
+    decided plus relaxed solves, or once that many masks are counted.
 
     The total is count(V, n). A failing I of size k follows the count(V, k - 1)
     smaller sets and each D of size k below it in lex order: D shares a
@@ -265,11 +338,7 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
     maximum, outside N(P)), then k - |P| - 1 vertices free of P + x.
     """
     failing = None
-    for decided, (ind, ok) in enumerate(deletion_verdicts(g, params), 1):
-        if decided > CRITICALITY_BUDGET:
-            raise ResourceLimitError(
-                f"criticality check on {g.n} vertices: over {CRITICALITY_BUDGET} sets decided"
-            )
+    for ind, ok in deletion_verdicts(g, params):
         if not ok:
             failing = ind
     count, adj, free = _independent_counter(g), g.adjacency_masks(), (1 << g.n) - 1
@@ -290,15 +359,23 @@ def _independent_counter(g: Graph) -> Callable[[int, int], int]:
 
     A nonempty set is its lowest member v and at most k - 1 vertices of mask
     above v outside N(v), so the recursion is at most k deep. An edgeless
-    mask of m vertices holds sum(binom(m, j) for j <= k), with k cut to m.
-    Only masks with an edge are memoized, fewer than g has independent sets,
-    so no graph of order <= 20 reaches CRITICALITY_BUDGET = 2^20. Each is the
-    free mask of an independent set Q, with k + |Q| = n for the total, or
-    k_F - 1 or k_F for a failing set of size k_F: two keys per Q at most. An
-    edge uw in it makes Q + u and Q + w independent sets whose maximum drops
-    back to Q, so distinct Q own distinct pairs of them.
+    mask of m vertices holds sum(binom(m, j) for j <= k), with k cut to m; a
+    mask inside one class of false twins, vertices with one open
+    neighbourhood, is edgeless without a scan (v in N(u) = N(v) is
+    impossible). Two vertices hold 4 sets, or 3 when they are an edge. Only
+    masks of three or more vertices with an edge are memoized, fewer than g
+    has independent sets, so no graph of order <= 20 reaches
+    CRITICALITY_BUDGET = 2^20. Each is the free mask of an independent set
+    Q, with k + |Q| = n for the total, or k_F - 1 or k_F for a failing set of
+    size k_F: two keys per Q at most. An edge uw in it makes Q + u and Q + w
+    independent sets whose maximum drops back to Q, so distinct Q own
+    distinct pairs of them.
     """
     adj = g.adjacency_masks()
+    twins: dict[int, int] = {}
+    for v, nbrs in enumerate(adj):
+        twins[nbrs] = twins.get(nbrs, 0) | 1 << v
+    alike = [twins[nbrs] for nbrs in adj]  # each vertex's false twins: a mask inside is edgeless
     memo: dict[tuple[int, int], int] = {}
 
     def count(mask: int, k: int) -> int:
@@ -306,15 +383,26 @@ def _independent_counter(g: Graph) -> Callable[[int, int], int]:
         k = min(k, m)
         if k < 2:
             return 1 + k * m if k >= 0 else 0
+        low = mask & -mask
+        if m == 2:  # the empty set, two singletons, and the pair unless it is an edge
+            return 4 if not adj[low.bit_length() - 1] & mask else 3
         total = memo.get((mask, k))
         if total is not None:
             return total
-        vertices = mask_vertices(mask)
-        if not any(adj[v] & mask for v in vertices):  # edgeless
+        rest = mask if mask & ~alike[low.bit_length() - 1] else 0  # scan unless one twin class
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if adj[low.bit_length() - 1] & mask:
+                break
+        else:  # edgeless
             return 1 << m if k == m else sum(comb(m, j) for j in range(k + 1))
         total = 1
-        for v in vertices:  # one frame per level; a child of size <= 1, or at k = 2, is 1 + size
-            child = mask & -(2 << v) & ~adj[v]
+        rest = mask
+        while rest:  # one frame per level; a child of size <= 1, or at k = 2, is 1 + size
+            low = rest & -rest
+            rest ^= low
+            child = rest & ~adj[low.bit_length() - 1]
             total += count(child, k - 1) if k > 2 and child & (child - 1) else 1 + child.bit_count()
         if len(memo) >= CRITICALITY_BUDGET:
             raise ResourceLimitError(

@@ -31,6 +31,7 @@ from fracfactor.maxflow import feasible_flow
 
 from oracle import adjacency, naive_deletion, naive_has_factor, naive_independent_sets
 from standard_graphs import complete_graph, cycle_graph, empty_graph, path_graph
+from test_factor import oracle_verdicts
 
 P11 = FactorParams(1, 1)
 
@@ -132,30 +133,62 @@ SEVEN = Graph(
 
 
 @pytest.mark.parametrize(
-    "g, params",
-    [(SEVEN, P11), (SEVEN, FactorParams(1, 2))]
-    + [(path_graph(n), FactorParams(1, 2)) for n in range(3, 8)],
+    "g, params, larger_before, smaller_after",
+    [(SEVEN, P11, True, True), (SEVEN, FactorParams(1, 2), False, True)]
+    + [(path_graph(n), FactorParams(1, 2), True, False) for n in range(3, 8)],
     ids=["seven-1-1", "seven-1-2"] + [f"path{n}-1-2" for n in range(3, 8)],
 )
-def test_first_failing_set_counts_the_failures_index(g, params):
+def test_first_failing_set_counts_the_failures_index(g, params, larger_before, smaller_after):
     # The DFS decides sets larger than the failure before it, and smaller ones after
-    # it; neither may move the failure's (size, lex) index.
+    # it; neither may move the failure's (size, lex) index. On SEVEN under (1,2),
+    # relaxed solves clear the subtrees of {0} and {1}, so no larger set is decided
+    # before the failure {2, 4}.
     failing, index = first_failing_set(g, params)
     assert index == is_fractional_id_factor_critical(g, params).independent_sets_checked
     assert list(enumerate_independent_sets(g)).index(failing) + 1 == index
     verdicts = decided_sets(g, params)
     at = verdicts.index((failing, False))
-    assert any(len(ind) > len(failing) for ind, _ in verdicts[:at])
-    if g is SEVEN:
-        assert any(len(ind) < len(failing) for ind, _ in verdicts[at + 1 :])
+    assert any(len(ind) > len(failing) for ind, _ in verdicts[:at]) is larger_before
+    assert any(len(ind) < len(failing) for ind, _ in verdicts[at + 1 :]) is smaller_after
+
+
+def bits(mask):
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def decided_sets(g, params):
     """deletion_verdicts as (I, verdict) pairs, each bitmask I turned back into a frozenset."""
-    return [
-        (frozenset(v for v in range(g.n) if ind >> v & 1), ok)
-        for ind, ok in deletion_verdicts(g, params)
-    ]
+    return [(bits(ind), ok) for ind, ok in deletion_verdicts(g, params)]
+
+
+def traced_solves(g, params):
+    """decided_sets(g, params), and each relaxed solve as (I, A, whether it saturated).
+
+    Every restore call decides a set or is a relaxed solve. Before it, the
+    vertices still sending or listed short are those outside I; a relaxed
+    solve is the call in which some of them, A, are not alive to receive.
+    """
+    relaxed = []
+    real = criticality.augmenting_search
+
+    def search(adj, b):
+        restore = real(adj, b)
+
+        def traced(short, used, owners, full, alive):
+            short = list(short)  # a vertex is listed once per unit it lacks
+            sending = sum(1 << v for v in set(short)) | sum(1 << v for v, m in enumerate(used) if m)
+            full = restore(short, used, owners, full, alive)
+            if sending & ~alive:
+                everything = (1 << len(adj)) - 1
+                relaxed.append((bits(everything & ~sending), bits(sending & ~alive), full >= 0))
+            return full
+
+        return traced
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criticality, "augmenting_search", search)
+        verdicts = decided_sets(g, params)
+    return verdicts, relaxed
 
 
 def assert_verdicts_match_the_oracle(g, params, verdicts):
@@ -213,16 +246,19 @@ def test_deletion_verdicts_match_deleting_and_solving_at_larger_orders():
         for build, ts in families.items()
         for t in ts
     ]
-    decided = failed = 0
+    decided = failed = solves = 0
     for g, params in cases:
-        for ind, ok in decided_sets(g, params):
+        verdicts, relaxed = traced_solves(g, params)
+        for ind, ok in verdicts:
             sub, _ = g.delete_vertices(ind)
             assert ok == (feasible_flow(*double_cover(sub.n, sub.edges(), params)) is not None)
             decided += 1
             failed += not ok
+        solves += len(relaxed)
     assert max(g.n for g, _ in cases) == 20
-    # 4,832 sets before twin reduction; the extremal families fell from 1,357 to 209
-    assert (decided, failed) == (3684, 25)
+    # 4,832 sets before twin reduction, 3,684 after it and before relaxed solves;
+    # the extremal families fell from 1,357 to 209
+    assert (decided, failed, solves) == (2088, 25, 299)
 
 
 def labeled_graphs(max_n):
@@ -282,6 +318,57 @@ def test_weighted_count_is_the_unpruned_index_on_every_small_graph(a, b):
     params = FactorParams(a, b)
     for g in labeled_graphs(6):
         assert_index_is_the_unpruned_index(g, params)
+
+
+def test_first_failing_set_matches_the_oracle_on_every_small_graph():
+    # The oracle deletes each independent set in (size, lex) order and reads the
+    # verdict of what is left from naive_has_factor's table for its order.
+    tables = [oracle_verdicts(n) for n in range(7)]
+    slots = [{e: 1 << i for i, e in enumerate(combinations(range(n), 2))} for n in range(7)]
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    for g in labeled_graphs(6):
+        edges = g.edges()
+        sets = naive_independent_sets(g.n, edges)
+        first = {}  # pair -> (its first failing set, that set's index)
+        for index, ind in enumerate(sets, start=1):
+            n, kept = naive_deletion(g.n, edges, ind)
+            verdict = tables[n][sum(slots[n][e] for e in kept)]
+            for pair in pairs:
+                if not verdict[pair]:
+                    first.setdefault(pair, (ind, index))
+            if len(first) == len(pairs):
+                break
+        for a, b in pairs:
+            assert first_failing_set(g, FactorParams(a, b)) == first.get((a, b), (None, len(sets)))
+
+
+def test_every_set_a_relaxed_solve_clears_has_a_factor():
+    # Each saturated relaxed solve at I stands for every independent I + J, J inside A.
+    cleared = 0
+    for g in labeled_graphs(5):
+        edges = g.edges()
+        adj = adjacency(g.n, edges)
+        for a, b in ((1, 2), (1, 3), (2, 3)):
+            for ind, reach, ok in traced_solves(g, FactorParams(a, b))[1]:
+                if not ok:
+                    continue
+                for size in range(1, len(reach) + 1):
+                    for extra in combinations(sorted(reach), size):
+                        deleted = ind | set(extra)
+                        if all(adj[u].isdisjoint(deleted) for u in deleted):
+                            cleared += 1
+                            assert naive_has_factor(*naive_deletion(g.n, edges, deleted), a, b)
+    assert cleared == 815
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_no_relaxed_solve_is_tried_when_a_equals_b(a):
+    # b|A| <= (b - a)|V - I| fails for every nonempty A when a = b.
+    params = FactorParams(a, a)
+    cases = [g for g in reference_graphs() if g.n] + list(extremal_instances())
+    assert all(traced_solves(g, params)[1] == [] for g in cases)
+    # the same graphs do see relaxed solves when a < b
+    assert sum(len(traced_solves(g, FactorParams(a, a + 1))[1]) for g in cases) > 100
 
 
 PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
@@ -377,26 +464,28 @@ def test_the_count_memoizes_fewer_masks_than_the_graph_has_sets(monkeypatch):
 
 def test_the_extremal_families_decide_one_set_per_twin_orbit():
     # The sharpness instances of order <= 20 timed by the benchmark decided
-    # 2,039 sets before twin reduction.
+    # 2,039 sets before twin reduction, and 319 before relaxed solves.
     grid = {
         neighborhood_extremal_graph: {(1, 1): range(1, 7), (1, 2): (1, 2, 3), (2, 2): (1, 2, 3)},
         min_degree_extremal_graph: {(1, 1): (2, 4, 6), (1, 2): (2, 3, 4), (2, 2): (1, 2, 3)},
     }
-    decided = [
-        len(decided_sets(build(FactorParams(a, b), t)[0], FactorParams(a, b)))
+    solves = [
+        traced_solves(build(FactorParams(a, b), t)[0], FactorParams(a, b))
         for build, pairs in grid.items()
         for (a, b), ts in pairs.items()
         for t in ts
     ]
-    assert (len(decided), sum(decided)) == (21, 319)
+    decided = sum(len(verdicts) for verdicts, _ in solves)
+    relaxed = sum(len(relaxed) for _, relaxed in solves)
+    assert (len(solves), decided, relaxed) == (21, 265, 29)
 
 
 def test_twin_reduction_reaches_the_neighbourhood_family_past_the_cap():
-    # n = 41: 99,309 sets without twin reduction
+    # n = 41: 99,309 sets without twin reduction, 40 before relaxed solves
     params = FactorParams(2, 3)
     g, labels = neighborhood_extremal_graph(params, 5)
-    verdicts = decided_sets(g, params)
-    assert (g.n, len(verdicts)) == (41, 40)
+    verdicts, relaxed = traced_solves(g, params)
+    assert (g.n, len(verdicts), len(relaxed)) == (41, 21, 14)
     assert [ind for ind, ok in verdicts if not ok][-1] == labels.part_map["btK1"]
 
 
@@ -443,30 +532,33 @@ def test_only_the_failing_set_is_deleted_and_solved(monkeypatch, g, calls):
 
 
 def test_criticality_respects_cap(monkeypatch):
-    # The budget counts the canonical sets decided; no order is refused on its own.
+    # The budget counts the canonical sets decided and the relaxed solves; no order is
+    # refused on its own.
     assert criticality.CRITICALITY_BUDGET == 2**20  # every independent set of order 20 or less
     report = is_fractional_id_factor_critical(empty_graph(21), P11)
     assert (report.failing_set, report.independent_sets_checked) == (frozenset(), 1)
     assert report.failing_certificate is None  # G - I is above the subset-scan cap
     assert first_failing_set(complete_graph(21), P11) == (None, 22)
 
+    # All 3,210 sets were decided before relaxed solves.
     params = FactorParams(1, 2)
     g = random_graph(24, Fraction(1, 3), 24 * 10 + 3)
-    decided = len(decided_sets(g, params))
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", decided)
+    verdicts, relaxed = traced_solves(g, params)
+    assert (len(verdicts), len(relaxed)) == (190, 122)
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 312)
     assert first_failing_set(g, params) == (None, 3210)
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", decided - 1)
-    message = f"criticality check on 24 vertices: over {decided - 1} sets decided"
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 311)
+    message = "criticality check on 24 vertices: over 311 sets decided"
     with pytest.raises(ResourceLimitError, match=message):
         first_failing_set(g, params)
     with pytest.raises(ResourceLimitError, match=message):
         is_fractional_id_factor_critical(g, params)
 
-    # The count has its own cap on memoized masks: 124 of them for this graph's 3,210 sets.
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 124)
+    # The count has its own cap on memoized masks: 120 of them for this graph's 3,210 sets.
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 120)
     assert criticality._independent_counter(g)((1 << 24) - 1, 24) == 3210
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 123)
-    with pytest.raises(ResourceLimitError, match="on 24 vertices: over 123 masks counted"):
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 119)
+    with pytest.raises(ResourceLimitError, match="on 24 vertices: over 119 masks counted"):
         criticality._independent_counter(g)((1 << 24) - 1, 24)
 
 
@@ -495,14 +587,17 @@ def test_deletion_verdicts_match_deleting_and_solving_past_order_20():
         for a, b in ((1, 2), (2, 2), (2, 3), (3, 3))
         for n in (21, 40)
     ]
-    decided = failed = 0
+    decided = failed = solves = 0
     for g, params in cases:
-        for ind, ok in decided_sets(g, params):
+        verdicts, relaxed = traced_solves(g, params)
+        for ind, ok in verdicts:
             sub, _ = g.delete_vertices(ind)
             assert ok == has_fractional_factor(sub, params)
             decided += 1
             failed += not ok
-    assert (decided, failed) == (7305, 61)
+        solves += len(relaxed)
+    # 7,305 sets decided before relaxed solves
+    assert (decided, failed, solves) == (4801, 61, 214)
 
 
 @pytest.mark.parametrize("n", range(21, 25))

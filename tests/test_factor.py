@@ -361,7 +361,12 @@ def test_restore_fails_without_the_paths_last_edge_and_changes_nothing(g, others
     assert (used, owners) == before
 
 
-def check_b_matching(adj, a: int, b: int, used, owners, full: int, alive: int) -> None:
+def check_b_matching(adj, a: int, b: int, used, owners, full: int, alive: int, sending: int) -> None:
+    """Each vertex of sending sends a units, the rest none, and only live vertices receive.
+
+    alive lies inside sending: a relaxed solve keeps its vertices A sending
+    while they take no unit, and a deleted vertex neither sends nor takes.
+    """
     n = len(adj)
     mirror = [0] * n
     for w, senders in enumerate(owners):
@@ -369,12 +374,15 @@ def check_b_matching(adj, a: int, b: int, used, owners, full: int, alive: int) -
             if senders >> x & 1:
                 mirror[x] |= 1 << w
     assert mirror == used  # used and owners record the same units
+    assert alive & ~sending == 0
     for v in range(n):
-        if alive >> v & 1:
-            assert used[v] & ~(adj[v] & alive) == 0  # units only on live edges
+        if sending >> v & 1:
+            assert used[v] & ~(adj[v] & alive) == 0  # units only on edges to live vertices
             assert used[v].bit_count() == a
         else:
-            assert used[v] == owners[v] == 0
+            assert used[v] == 0
+        if not alive >> v & 1:
+            assert owners[v] == 0
     assert max(m.bit_count() for m in owners) <= b
     assert full == sum(1 << w for w in range(n) if owners[w].bit_count() == b)
 
@@ -383,17 +391,26 @@ def check_b_matching(adj, a: int, b: int, used, owners, full: int, alive: int) -
 def test_every_successful_restore_in_the_deletion_search_leaves_a_saturated_b_matching(
     monkeypatch, a, b
 ):
-    checked = 0
+    # A vertex sends after a restore call if it sent or was listed short before it.
+    checked = relaxed = 0
 
     def checked_search(adj, b):
         restore = factor.augmenting_search(adj, b)
 
         def checked_restore(short, used, owners, full, alive):
-            nonlocal checked
+            nonlocal checked, relaxed
+            short = list(short)
+            sending = 0
+            for v in short:
+                sending |= 1 << v
+            for v, units in enumerate(used):
+                if units:
+                    sending |= 1 << v
             full = restore(short, used, owners, full, alive)
             if full >= 0:
-                check_b_matching(adj, a, b, used, owners, full, alive)
+                check_b_matching(adj, a, b, used, owners, full, alive, sending)
                 checked += 1
+                relaxed += sending != alive
             return full
 
         return checked_restore
@@ -406,6 +423,7 @@ def test_every_successful_restore_in_the_deletion_search_leaves_a_saturated_b_ma
             for _ in islice(criticality.deletion_verdicts(g, params), 150):
                 pass
     assert checked > 1000
+    assert (relaxed > 0) is (a < b)
 
 
 def test_witness_flow_that_contradicts_the_search_is_a_bug(monkeypatch):
