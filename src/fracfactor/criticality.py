@@ -24,9 +24,9 @@ from .factor import (
 )
 from .graphs import Graph, mask_vertices
 
-# Restore calls deletion_verdicts may make (canonical sets decided, plus relaxed solves
-# for a < b), and masks the count may memoize, per check; no graph of order <= 20 reaches
-# either. A set took 2.1-10.3 us on G(60..1000, p) under (1, 2) and (3, 3) (CPython 3.11,
+# Restore calls deletion_verdicts may make (each decides a canonical set or, for a < b,
+# tries a relaxed solve), and masks the count may memoize, per check; no graph of order <= 20
+# reaches either. A set took 2.1-10.3 us on G(60..1000, p) under (1, 2) and (3, 3) (CPython 3.11,
 # 2-core Xeon), so a trip of the first takes about 2-11 s. For a < b the memo is the wall:
 # the conditions' boundary graphs reach it near order 170-180, after about 10 s.
 CRITICALITY_BUDGET = 2**20
@@ -167,8 +167,7 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
     factor.augmenting_search with I's vertices masked out of alive: G - I
     has a fractional [a,b]-factor iff every vertex outside I sends a units,
     and a failed search decides the set infeasible (the proofs are in that
-    function's docstring). The root runs a searches per vertex, as
-    has_fractional_factor does.
+    function's docstring).
 
     Only canonical sets are decided: those meeting each twin class K (see
     twin_classes) in its |I & K| lowest members. That loses nothing:
@@ -189,34 +188,34 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
     class's lowest member; a child's drops v's neighbours and gains v's
     next-higher twin, unless that is a true twin, which neighbours v.
 
-    The child copies the parent's saturated b-matching and drops v's units
-    in and out. Every sender that lost its unit into v (at most b of them)
-    is then one short, and one restore call searches for each in turn,
-    restoring them all or deciding the set infeasible.
-    DFS preorder is lexicographic among sets of one size, so once a set of
-    size k fails, no later set of size k or more is decided, and no failing
-    set is extended: the last failing set yielded is the first in (size, lex)
+    Each node I comes with a b-matching of G - I in which the senders it
+    lists are each one unit short: at the root, the empty b-matching with
+    every vertex listed a times; at a child, its parent's saturated
+    b-matching less v's units in and out, listing each sender into v (at
+    most b). One restore call saturates it or decides I infeasible. DFS
+    preorder is lexicographic among sets of one size, so once a set of size
+    k fails, no later set of size k or more is decided, and no failing set
+    is extended: the last failing set yielded is the first in (size, lex)
     order.
 
-    A whole subtree can be cleared at once. Before the node I expands, let A
-    be every vertex its subtree can still add: its allowed mask plus each
-    member's higher false twins (true twins neighbour each other, so never
-    join one set). Lemma: if the b-matching in which every vertex outside I
-    sends a units, and only the vertices outside I and A receive, saturates,
-    then G - (I + J) has a fractional [a,b]-factor for every J inside A.
-    Proof: drop J's units out; every vertex outside I + J still sends a
-    units, each to a vertex outside I + A, which lies outside I + J, and
-    loads only fall. So the subtree, all of whose sets are I + J, is skipped.
-    The node's saturated b-matching is copied, every unit sent into A (A's
-    units to A included) is dropped, and one restore call gives each sender
-    left short its units back, with receivers limited to alive - A and full
-    mask full - A. Its a|V - I| units fit the receivers' b(|V - I| - |A|)
-    slots only when b|A| <= (b - a)|V - I|, so the relaxed solve is tried only
-    then, and only with |A| >= 2, where it can stand for more than one set.
-    At a = b the right side is 0, so it is never tried. A cleared subtree
-    holds no failing set, so the first failure and every yielded verdict are
-    as without it. Each restore call, a decided set or a relaxed solve,
-    counts toward CRITICALITY_BUDGET; one more raises ResourceLimitError.
+    For a < b a relaxed solve comes first. Let A be every vertex I's subtree
+    can still add: its allowed mask plus each member's higher false twins
+    (true twins neighbour each other, so never join one set). Lemma: if the
+    b-matching in which every vertex outside I sends a units, and only the
+    vertices outside I and A receive, saturates, then G - (I + J) has a
+    fractional [a,b]-factor for every J inside A, J empty included. Proof:
+    drop J's units out; every vertex outside I + J still sends a units, each
+    to a vertex outside I + A, which lies outside I + J, and loads only
+    fall. So I is yielded feasible and its subtree, all of whose sets are
+    I + J, is skipped. The solve drops every unit sent into A (A's units to
+    A included) from a copy of the node's b-matching and restores the listed
+    senders and those left short, with receivers alive - A and full mask
+    full - A. Its a|V - I| units fit the receivers' b(|V - I| - |A|) slots
+    only when b|A| <= (b - a)|V - I|, so it is tried only then, and only
+    with |A| >= 2, where it can stand for more than one set; at a = b,
+    never. A skipped subtree holds no failing set, so the first failure and
+    every yielded verdict are as without it. Each restore call counts toward
+    CRITICALITY_BUDGET; one more raises ResourceLimitError.
     """
     n = g.n
     b, spare = params.b, params.b - params.a
@@ -227,100 +226,78 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
     next_twin = [m & -m for m in above]
     addable = [m & ~adj[v] for v, m in enumerate(above)]  # higher false twins only
     smallest_failure = n + 1
-    spent = 0  # restore calls, decided sets and relaxed solves; counted inline, not per call
+    spent = 0  # restore calls
 
-    def over_budget() -> ResourceLimitError:
-        return ResourceLimitError(
-            f"criticality check on {n} vertices: over {CRITICALITY_BUDGET} sets decided"
-        )
-
-    def cleared(allowed: int, used: list[int], owners: list[int], full: int, alive: int) -> bool:
-        """Whether a relaxed solve clears the whole subtree of the node (the lemma above)."""
+    def solve(short: list[int], used: list[int], owners: list[int], full: int, alive: int) -> int:
         nonlocal spent
-        reach = rest = allowed  # grows to A
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            reach |= addable[low.bit_length() - 1]
-        if reach & (reach - 1) == 0 or b * reach.bit_count() > spare * alive.bit_count():
-            return False
-        used, owners, short = used[:], owners[:], []
-        rest = reach
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            into, owners[w] = owners[w], 0
-            while into:
-                unit = into & -into
-                into ^= unit
-                x = unit.bit_length() - 1
-                used[x] ^= low
-                short.append(x)
         spent += 1
         if spent > CRITICALITY_BUDGET:
-            raise over_budget()
-        return restore(short, used, owners, full & ~reach, alive & ~reach) >= 0
+            raise ResourceLimitError(
+                f"criticality check on {n} vertices: over {CRITICALITY_BUDGET} sets decided"
+            )
+        return restore(short, used, owners, full, alive)
 
-    def children(
-        ind: int, allowed: int, parent: tuple[list[int], list[int], int, int]
+    def node(
+        ind: int, allowed: int, short: list[int], used: list[int], owners: list[int], full: int, alive: int
     ) -> Iterator[tuple[int, bool]]:
-        nonlocal smallest_failure, spent
-        parent_used, parent_owners, parent_full, parent_alive = parent
-        size = ind.bit_count() + 1
-        # at a = b, or when allowed alone fails the gate (A holds allowed), no solve is tried
-        if (
-            spare
-            and size < smallest_failure
-            and b * allowed.bit_count() <= spare * parent_alive.bit_count()
-            and cleared(allowed, *parent)
-        ):
+        nonlocal smallest_failure
+        size = ind.bit_count() + 1  # of I's children
+        # at a = b, or when allowed alone fails the gate (A holds allowed), no relaxed solve
+        if spare and size < smallest_failure and b * allowed.bit_count() <= spare * alive.bit_count():
+            reach = rest = allowed  # grows to A
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reach |= addable[low.bit_length() - 1]
+            if reach & (reach - 1) and b * reach.bit_count() <= spare * alive.bit_count():
+                kept_used, kept_owners, dropped = used[:], owners[:], []
+                rest = reach
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    w = low.bit_length() - 1
+                    into, kept_owners[w] = kept_owners[w], 0
+                    while into:
+                        unit = into & -into
+                        into ^= unit
+                        x = unit.bit_length() - 1
+                        kept_used[x] ^= low
+                        dropped.append(x)
+                if solve(short + dropped, kept_used, kept_owners, full & ~reach, alive & ~reach) >= 0:
+                    yield ind, True
+                    return
+        full = solve(short, used, owners, full, alive)
+        yield ind, full >= 0
+        if full < 0:
+            smallest_failure = size - 1
             return
         while allowed and size < smallest_failure:
             bit = allowed & -allowed
             allowed ^= bit
             v = bit.bit_length() - 1
             # Dropping v's units out only lowers loads; each sender into v is one short.
-            used, owners = parent_used[:], parent_owners[:]
+            child_used, child_owners = used[:], owners[:]
             out = used[v]
             while out:
                 low = out & -out
                 out ^= low
-                owners[low.bit_length() - 1] ^= bit
+                child_owners[low.bit_length() - 1] ^= bit
             senders = []
             into = owners[v]
             while into:
                 low = into & -into
                 into ^= low
                 x = low.bit_length() - 1
-                used[x] ^= bit
+                child_used[x] ^= bit
                 senders.append(x)
-            used[v] = owners[v] = 0
-            alive = parent_alive ^ bit
-            spent += 1
-            if spent > CRITICALITY_BUDGET:
-                raise over_budget()
-            full = restore(senders, used, owners, parent_full & ~parent_used[v] & ~bit, alive)
-            child = ind | bit
-            ok = full >= 0
-            yield child, ok
-            if ok:
-                child_allowed = (allowed | next_twin[v]) & ~adj[v]
-                yield from children(child, child_allowed, (used, owners, full, alive))
-            else:
-                smallest_failure = size
+            child_used[v] = child_owners[v] = 0
+            child_allowed, child_full = (allowed | next_twin[v]) & ~adj[v], full & ~used[v] & ~bit
+            yield from node(ind | bit, child_allowed, senders, child_used, child_owners, child_full, alive ^ bit)
 
-    used, owners, alive = [0] * n, [0] * n, (1 << n) - 1
-    rounds = (v for _ in range(params.a) for v in range(n))  # lazy: a may be huge
-    spent += 1
-    if spent > CRITICALITY_BUDGET:
-        raise over_budget()
-    full = restore(rounds, used, owners, 0, alive)  # all start a units short
-    ok = full >= 0
-    yield 0, ok
-    if ok:
-        lowest = sum({k & -k for k in classes})  # each class's lowest member
-        yield from children(0, lowest, (used, owners, full, alive))
+    lowest = sum({k & -k for k in classes})  # each class's lowest member
+    # a may be huge, but no vertex has n neighbours to take n units, so min(a, n) rounds decide as a do
+    rounds = list(range(n)) * min(params.a, n)
+    yield from node(0, lowest, rounds, [0] * n, [0] * n, 0, (1 << n) - 1)
 
 
 def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:
@@ -329,8 +306,8 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
     Also returns I's 1-based index in enumerate_independent_sets order, or
     the number of independent sets when none fails, counted apart from the
     deciding by _independent_counter. Raises ResourceLimitError once
-    deletion_verdicts makes more than CRITICALITY_BUDGET restore calls, sets
-    decided plus relaxed solves, or once that many masks are counted.
+    deletion_verdicts makes more than CRITICALITY_BUDGET restore calls
+    (decides and relaxed solves), or once that many masks are counted.
 
     The total is count(V, n). A failing I of size k follows the count(V, k - 1)
     smaller sets and each D of size k below it in lex order: D shares a
@@ -372,10 +349,8 @@ def _independent_counter(g: Graph) -> Callable[[int, int], int]:
     distinct pairs of them.
     """
     adj = g.adjacency_masks()
-    twins: dict[int, int] = {}
-    for v, nbrs in enumerate(adj):
-        twins[nbrs] = twins.get(nbrs, 0) | 1 << v
-    alike = [twins[nbrs] for nbrs in adj]  # each vertex's false twins: a mask inside is edgeless
+    # each vertex's false twins (a true twin's class meets its neighbourhood): a mask inside is edgeless
+    alike = [k & ~adj[v] for v, k in enumerate(twin_classes(adj))]
     memo: dict[tuple[int, int], int] = {}
 
     def count(mask: int, k: int) -> int:

@@ -162,13 +162,14 @@ def decided_sets(g, params):
 
 
 def traced_solves(g, params):
-    """decided_sets(g, params), and each relaxed solve as (I, A, whether it saturated).
+    """decided_sets(g, params), and each relaxed solve as (verdicts yielded before it, I, A,
+    whether it saturated).
 
     Every restore call decides a set or is a relaxed solve. Before it, the
     vertices still sending or listed short are those outside I; a relaxed
     solve is the call in which some of them, A, are not alive to receive.
     """
-    relaxed = []
+    verdicts, relaxed = [], []
     real = criticality.augmenting_search
 
     def search(adj, b):
@@ -180,14 +181,16 @@ def traced_solves(g, params):
             full = restore(short, used, owners, full, alive)
             if sending & ~alive:
                 everything = (1 << len(adj)) - 1
-                relaxed.append((bits(everything & ~sending), bits(sending & ~alive), full >= 0))
+                at = len(verdicts)
+                relaxed.append((at, bits(everything & ~sending), bits(sending & ~alive), full >= 0))
             return full
 
         return traced
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(criticality, "augmenting_search", search)
-        verdicts = decided_sets(g, params)
+        for ind, ok in deletion_verdicts(g, params):
+            verdicts.append((bits(ind), ok))
     return verdicts, relaxed
 
 
@@ -230,22 +233,27 @@ EXTREMAL = {
 }
 
 
-def test_deletion_verdicts_match_deleting_and_solving_at_larger_orders():
-    # Orders the hypothesis oracle test (n <= 8) does not reach, where a
-    # restore can take a long reroute. Each G - I is decided by the flow that
-    # find_fractional_factor runs, without its exponential certificate scan.
+def larger_order_cases():
+    """Seeded G(n, p) of order 14-18 and the extremal families up to order 20, with their pairs."""
     cases = [
         (random_graph(n, p, 100 * n + 10 * a + b), FactorParams(a, b))
         for a, b in ((1, 2), (2, 2), (2, 3))
         for p in (Fraction(1, 2), Fraction(2, 3))
         for n in range(14, 19)
     ]
-    cases += [
+    return cases + [
         (build(FactorParams(a, b), t)[0], FactorParams(a, b))
         for (a, b), families in EXTREMAL.items()
         for build, ts in families.items()
         for t in ts
     ]
+
+
+def test_deletion_verdicts_match_deleting_and_solving_at_larger_orders():
+    # Orders the hypothesis oracle test (n <= 8) does not reach, where a
+    # restore can take a long reroute. Each G - I is decided by the flow that
+    # find_fractional_factor runs, without its exponential certificate scan.
+    cases = larger_order_cases()
     decided = failed = solves = 0
     for g, params in cases:
         verdicts, relaxed = traced_solves(g, params)
@@ -343,22 +351,25 @@ def test_first_failing_set_matches_the_oracle_on_every_small_graph():
 
 
 def test_every_set_a_relaxed_solve_clears_has_a_factor():
-    # Each saturated relaxed solve at I stands for every independent I + J, J inside A.
+    # Each saturated relaxed solve at I stands for every independent I + J, J inside A,
+    # J empty included: I itself is the next set yielded, feasible, with no set decided.
     cleared = 0
     for g in labeled_graphs(5):
         edges = g.edges()
         adj = adjacency(g.n, edges)
         for a, b in ((1, 2), (1, 3), (2, 3)):
-            for ind, reach, ok in traced_solves(g, FactorParams(a, b))[1]:
+            verdicts, relaxed = traced_solves(g, FactorParams(a, b))
+            for at, ind, reach, ok in relaxed:
                 if not ok:
                     continue
-                for size in range(1, len(reach) + 1):
+                assert verdicts[at] == (ind, True)
+                for size in range(len(reach) + 1):
                     for extra in combinations(sorted(reach), size):
                         deleted = ind | set(extra)
                         if all(adj[u].isdisjoint(deleted) for u in deleted):
                             cleared += 1
                             assert naive_has_factor(*naive_deletion(g.n, edges, deleted), a, b)
-    assert cleared == 815
+    assert cleared == 1116
 
 
 @pytest.mark.parametrize("a", [1, 2, 3])
@@ -462,22 +473,56 @@ def test_the_count_memoizes_fewer_masks_than_the_graph_has_sets(monkeypatch):
             assert first_failing_set(g, params) == want
 
 
-def test_the_extremal_families_decide_one_set_per_twin_orbit():
-    # The sharpness instances of order <= 20 timed by the benchmark decided
-    # 2,039 sets before twin reduction, and 319 before relaxed solves.
+def sharpness_instances():
+    """The extremal graphs of order <= 20 that the benchmark times, with their pairs."""
     grid = {
         neighborhood_extremal_graph: {(1, 1): range(1, 7), (1, 2): (1, 2, 3), (2, 2): (1, 2, 3)},
         min_degree_extremal_graph: {(1, 1): (2, 4, 6), (1, 2): (2, 3, 4), (2, 2): (1, 2, 3)},
     }
-    solves = [
-        traced_solves(build(FactorParams(a, b), t)[0], FactorParams(a, b))
+    return [
+        (build(FactorParams(a, b), t)[0], FactorParams(a, b))
         for build, pairs in grid.items()
         for (a, b), ts in pairs.items()
         for t in ts
     ]
+
+
+def test_the_extremal_families_decide_one_set_per_twin_orbit():
+    # The sharpness instances of order <= 20 timed by the benchmark decided
+    # 2,039 sets before twin reduction, and 319 before relaxed solves.
+    solves = [traced_solves(g, params) for g, params in sharpness_instances()]
     decided = sum(len(verdicts) for verdicts, _ in solves)
     relaxed = sum(len(relaxed) for _, relaxed in solves)
     assert (len(solves), decided, relaxed) == (21, 265, 29)
+
+
+def test_no_restore_call_decides_a_set_a_relaxed_solve_already_proves():
+    # A saturated relaxed solve at I proves G - I as well (J empty), so I is not decided
+    # after it: each yield is one restore call, a decide or a saturated relaxed solve, and
+    # each relaxed solve that does not saturate is one more.
+    real = criticality.augmenting_search
+    calls = 0
+
+    def search(adj, b):
+        restore = real(adj, b)
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return restore(*args)
+
+        return counted
+
+    expected = saturated = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criticality, "augmenting_search", search)
+        for g, params in sharpness_instances() + larger_order_cases():
+            verdicts, relaxed = traced_solves(g, params)
+            proved = sum(ok for *_, ok in relaxed)
+            saturated += proved
+            expected += len(verdicts) + len(relaxed) - proved
+            assert calls == expected
+    assert (calls, saturated) == (2398, 283)
 
 
 def test_twin_reduction_reaches_the_neighbourhood_family_past_the_cap():
@@ -532,7 +577,7 @@ def test_only_the_failing_set_is_deleted_and_solved(monkeypatch, g, calls):
 
 
 def test_criticality_respects_cap(monkeypatch):
-    # The budget counts the canonical sets decided and the relaxed solves; no order is
+    # The budget counts restore calls: sets decided and relaxed solves tried; no order is
     # refused on its own.
     assert criticality.CRITICALITY_BUDGET == 2**20  # every independent set of order 20 or less
     report = is_fractional_id_factor_critical(empty_graph(21), P11)
@@ -540,15 +585,16 @@ def test_criticality_respects_cap(monkeypatch):
     assert report.failing_certificate is None  # G - I is above the subset-scan cap
     assert first_failing_set(complete_graph(21), P11) == (None, 22)
 
-    # All 3,210 sets were decided before relaxed solves.
+    # All 3,210 sets were decided before relaxed solves. 117 of the 122 relaxed solves
+    # saturate and also prove their own node, so 190 + 122 - 117 restore calls are made.
     params = FactorParams(1, 2)
     g = random_graph(24, Fraction(1, 3), 24 * 10 + 3)
     verdicts, relaxed = traced_solves(g, params)
-    assert (len(verdicts), len(relaxed)) == (190, 122)
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 312)
+    assert (len(verdicts), len(relaxed), sum(ok for *_, ok in relaxed)) == (190, 122, 117)
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 195)
     assert first_failing_set(g, params) == (None, 3210)
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 311)
-    message = "criticality check on 24 vertices: over 311 sets decided"
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 194)
+    message = "criticality check on 24 vertices: over 194 sets decided"
     with pytest.raises(ResourceLimitError, match=message):
         first_failing_set(g, params)
     with pytest.raises(ResourceLimitError, match=message):
@@ -596,8 +642,9 @@ def test_deletion_verdicts_match_deleting_and_solving_past_order_20():
             decided += 1
             failed += not ok
         solves += len(relaxed)
-    # 7,305 sets decided before relaxed solves
-    assert (decided, failed, solves) == (4801, 61, 214)
+    # 7,305 sets decided before relaxed solves; a failing set's relaxed solve is tried
+    # before it is decided, and fails
+    assert (decided, failed, solves) == (4801, 61, 215)
 
 
 @pytest.mark.parametrize("n", range(21, 25))
@@ -650,6 +697,18 @@ def test_a_beyond_a_machine_word_fails_at_the_first_short_round():
     p3 = path_graph(3)
     assert has_fractional_factor(p3, params) is False
     report = is_fractional_id_factor_critical(p3, params)
+    assert (report.verdict, report.failing_set, report.independent_sets_checked) == (
+        False,
+        frozenset(),
+        1,
+    )
+    # With b - a huge the root's relaxed solve passes its gate (A = {0, 3}) and is tried
+    # first; it runs short at once, and so does the root's decide.
+    params = FactorParams(2**62, 2**63)
+    triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    verdicts, relaxed = traced_solves(triangles, params)
+    assert (verdicts, relaxed) == ([(frozenset(), False)], [(0, frozenset(), frozenset({0, 3}), False)])
+    report = is_fractional_id_factor_critical(triangles, params)
     assert (report.verdict, report.failing_set, report.independent_sets_checked) == (
         False,
         frozenset(),

@@ -174,7 +174,7 @@ def test_warm_started_deletion_verdicts_match_the_oracle(g, p):
     # every set before the last failure in (size, lex) order is feasible, and its
     # canonical image was decided feasible or lies in a subtree I + J (J nonempty,
     # inside A) that a saturated relaxed solve cleared, so that failure is the first one
-    cleared = [(ind, ind | reach) for ind, reach, ok in relaxed if ok]
+    cleared = [(ind, ind | reach) for _, ind, reach, ok in relaxed if ok]
     order = naive_independent_sets(g.n, edges)
     failures = [ind for ind, ok in verdicts if not ok]
     end = order.index(failures[-1]) if failures else len(order)
