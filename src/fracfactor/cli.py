@@ -284,7 +284,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             status = "pass" if check.passed else "FAIL"
             lines.append(f"  [{tag}] {check.name}: {status} ({check.detail})")
         if report.criticality_skipped:
-            lines.append("  criticality check skipped (over the budget of decided sets)")
+            lines.append("  criticality check skipped (over the budget of restore calls)")
     _emit(args, payload, lines)
     return 0
 

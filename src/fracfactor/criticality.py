@@ -233,7 +233,7 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
         spent += 1
         if spent > CRITICALITY_BUDGET:
             raise ResourceLimitError(
-                f"criticality check on {n} vertices: over {CRITICALITY_BUDGET} sets decided"
+                f"criticality check on {n} vertices: over {CRITICALITY_BUDGET} restore calls"
             )
         return restore(short, used, owners, full, alive)
 

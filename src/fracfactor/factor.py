@@ -174,11 +174,15 @@ def has_fractional_factor_bruteforce(
     of degree at most a never has more, so only the others are counted.
     Being a-sparse is hereditary, so each a-sparse T is reached exactly
     once, from T less its highest vertex. Each T is evaluated, and its
-    children pushed, in one pass over V - T, as a walk over the sets S
-    would spend on each S. While |T| <= b, or if no vertex has degree above
-    b, no vertex has more than b neighbours in T, so S*(T) is empty and the
-    pass visits only the vertices T may still gain. At most 2^n sets T are
-    visited, one pass each.
+    children pushed, in two loops over V - T. A vertex with more than b
+    neighbours in T has degree above b, so no vertex of degree at most b
+    ever joins S*(T); and while |T| <= b no vertex has more than b
+    neighbours in T at all. So the first loop runs only while |T| > b and
+    some degree exceeds b, and tests only the vertices of degree above b
+    outside T that lie below T's lowest candidate. The second loop runs
+    over the candidates, from that vertex up: each is tested for S*(T), and
+    otherwise as a child of T. At most 2^n sets T are visited, each with at
+    most n vertices tested.
 
     Raises ResourceLimitError above the cap; find_fractional_factor handles
     any order in polynomial time.
@@ -191,10 +195,11 @@ def has_fractional_factor_bruteforce(
     n = g.n
     a, b = params.a, params.b
     masks = g.adjacency_masks()
-    above_a = sum(1 << y for y, mask in enumerate(masks) if mask.bit_count() > a)
+    degrees = [mask.bit_count() for mask in masks]
+    above_a = sum(1 << y for y, d in enumerate(degrees) if d > a)
+    above_b = sum(1 << y for y, d in enumerate(degrees) if d > b)
     # S*(T) is empty while |T| <= b, and for every T when no degree exceeds b
-    s_floor = b if any(mask.bit_count() > b for mask in masks) else n
-    full = (1 << n) - 1
+    s_floor = b if above_b else n
 
     best_key: tuple[int, int] = (0, 0)
     best_mask = -1
@@ -202,17 +207,22 @@ def has_fractional_factor_bruteforce(
     while stack:
         tmask, low, base = stack.pop()
         gain, smask = base, 0
-        rest = full ^ tmask if tmask.bit_count() > s_floor else full >> low << low
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            y = bit.bit_length() - 1
+        if tmask.bit_count() > s_floor:  # the members of S*(T) below low
+            rest = above_b & ~tmask & ((1 << low) - 1)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                c = (masks[bit.bit_length() - 1] & tmask).bit_count()
+                if c > b:
+                    gain += b - c
+                    smask |= bit
+        for y in range(low, n):
             inner = masks[y] & tmask
             c = inner.bit_count()
             if c > b:
                 gain += b - c
-                smask |= bit
-            elif y >= low and c <= a:
+                smask |= 1 << y
+            elif c <= a:
                 inner &= above_a
                 while inner:  # y is barred by a neighbour that already has a neighbours in T
                     member = inner & -inner
@@ -220,7 +230,7 @@ def has_fractional_factor_bruteforce(
                         break
                     inner ^= member
                 else:
-                    stack.append((tmask | bit, y + 1, base + masks[y].bit_count() - a))
+                    stack.append((tmask | 1 << y, y + 1, base + degrees[y] - a))
         if gain < 0:
             key = (gain, smask.bit_count())
             if key < best_key:

@@ -127,7 +127,7 @@ def test_check_critical_cap_exit_code(graph_file, capsys, monkeypatch):
     assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: criticality check on 21 vertices: over 1 sets decided\n"
+    assert captured.err == "error: criticality check on 21 vertices: over 1 restore calls\n"
 
 
 def test_check_critical_reports_a_failure_above_the_scan_cap_without_a_certificate(
@@ -212,7 +212,7 @@ def test_verify_theorem_refuses_a_random_ensemble_above_the_cap(tmp_path, capsys
 
 
 def test_verify_theorem_refuses_orders_above_the_criticality_cap(tmp_path, capsys, monkeypatch):
-    # Order 21 is swept; a check that decides more sets than the budget exits 3.
+    # Order 21 is swept; a check that makes more restore calls than the budget exits 3.
     config = tmp_path / "sweep.ini"
     config.write_text(
         "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 9/10\nsamples = 1\n"
@@ -221,7 +221,7 @@ def test_verify_theorem_refuses_orders_above_the_criticality_cap(tmp_path, capsy
     assert "(a=1, b=1): 1 graphs, 1 pass the conditions, 1 confirmed critical" in capsys.readouterr().out
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 3)
     assert main(["verify-theorem", str(config)]) == 3
-    assert "criticality check on 21 vertices: over 3 sets decided" in capsys.readouterr().err
+    assert "criticality check on 21 vertices: over 3 restore calls" in capsys.readouterr().err
 
     # An order above MAX_ORDER is refused before any graph is examined.
     def never_run(config):
@@ -452,7 +452,7 @@ def test_gen_verify_reports_a_skipped_criticality_check(tmp_path, capsys, monkey
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == [
         "  [reported] degree-condition: pass (margin 29)",
-        "  criticality check skipped (over the budget of decided sets)",
+        "  criticality check skipped (over the budget of restore calls)",
     ]
     assert "  [required] designated-deletion-infeasible: pass (b-matching search verdict)" in lines
 

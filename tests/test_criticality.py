@@ -594,7 +594,7 @@ def test_criticality_respects_cap(monkeypatch):
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 195)
     assert first_failing_set(g, params) == (None, 3210)
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 194)
-    message = "criticality check on 24 vertices: over 194 sets decided"
+    message = "criticality check on 24 vertices: over 194 restore calls"
     with pytest.raises(ResourceLimitError, match=message):
         first_failing_set(g, params)
     with pytest.raises(ResourceLimitError, match=message):

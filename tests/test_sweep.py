@@ -99,7 +99,7 @@ def test_parse_refuses_huge_probability_exponents(monkeypatch, p):
 
 
 def test_config_rejects_orders_above_cap():
-    # Criticality is bounded by sets decided, not by order; MAX_ORDER still bounds the graphs.
+    # Criticality is bounded by restore calls, not by order; MAX_ORDER still bounds the graphs.
     random_config((25,), (Fraction(1, 2),), 1)
     with pytest.raises(ResourceLimitError, match="order 1001 exceeds the maximum of 1000"):
         random_config((25, 1001), (Fraction(1, 2),), 1)
