@@ -94,22 +94,7 @@ def check_criticality_conditions(g: Graph, params: FactorParams) -> ConditionRep
         raise InputError("conditions are defined for graphs with at least one vertex")
     n = g.n
     min_degree = g.min_degree()
-
-    masks = g.adjacency_masks()
-    worst_pair = None
-    worst_size = None
-    for u in range(n):
-        mask_u = masks[u]
-        rest = ~mask_u & ((1 << n) - (2 << u))  # the nonadjacent v > u
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            size = (mask_u | masks[v]).bit_count()
-            if worst_size is None or size < worst_size:
-                worst_size = size
-                worst_pair = (u, v)
-
+    worst_pair, worst_size = g.least_union_pair() or (None, None)
     return ConditionReport(
         a=params.a,
         b=params.b,

@@ -6,7 +6,9 @@ only maximal independent sets would be unsound: deleting a smaller set
 leaves more vertices behind and can fail where larger deletions succeed, so
 the check below covers every independent set, smallest first. It decides
 one set per orbit under twin swaps, which give isomorphic deletions, and
-counts the sets apart from deciding them.
+counts the sets apart from deciding them. Before any set is decided, a lemma
+on delta(G), alpha(G) and the least neighbourhood union may prove the whole
+check (proves_critical), and then only the count runs.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .graphs import Graph, mask_vertices
 # Restore calls deletion_verdicts may make (each decides a canonical set or, for a < b,
 # tries a relaxed solve), and masks the count may memoize, per check; no graph of order <= 20
 # reaches either. A set took 2.1-10.3 us on G(60..1000, p) under (1, 2) and (3, 3) (CPython 3.11,
-# 2-core Xeon), so a trip of the first takes about 2-11 s. For a < b the memo is the wall:
-# the conditions' boundary graphs reach it near order 170-180, after about 10 s.
+# 2-core Xeon), so a trip of the first takes about 2-11 s. proves_critical's questions abstain
+# past as many prefixes. It clears the conditions' boundary graphs from order 100 to 300 in at
+# most 10 ms, under a = b as well, so there the memo is the wall: near order 170-180 for
+# a < b and between 200 and 220 for a = b, after about 6-11 s.
 CRITICALITY_BUDGET = 2**20
 
 
@@ -300,12 +304,85 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
     yield from node(0, lowest, rounds, [0] * n, [0] * n, 0, (1 << n) - 1)
 
 
+def proves_critical(g: Graph, params: FactorParams) -> bool:
+    """Whether delta(G), alpha(G) and U, the least |N(x) | N(y)| of a nonadjacent pair, prove criticality.
+
+    Lemma: G is critical when b(delta - alpha - a) >= a(a + 1) and, unless G
+    is complete, (a + b)(U - 2a) - a*n >= b*alpha. Proof: let I be
+    independent, k = |I| <= alpha and H = G - I, of order n - k. A vertex
+    loses at most k neighbours, so delta(H) >= delta - alpha, and a pair
+    nonadjacent in H is nonadjacent in G and loses at most k of its union.
+    Suppose H has no fractional [a,b]-factor: by the deficiency test of
+    factor, some S has b|S| + d_{H-S}(T) - a|T| < 0, with T the vertices
+    outside S of degree at most a in H - S. T is not empty, or the sum is
+    b|S| >= 0, and the sum is at least b|S| - a|T|.
+    - If T is a clique, each x in T has its |T| - 1 fellows among at most a
+      neighbours in H - S, so |T| <= a + 1, and every other neighbour of x
+      in H lies in S, so |S| >= delta(H) - a >= delta - alpha - a. Then
+      b|S| - a|T| >= b(delta - alpha - a) - a(a + 1) >= 0.
+    - If T holds a nonadjacent pair x, y, then N_H(x) | N_H(y) lies in S
+      plus at most a neighbours of each in H - S, so |S| >= U - k - 2a, and
+      |T| <= n - k - |S|. Then b|S| - a|T| >= (a + b)|S| - a(n - k)
+      >= (a + b)(U - 2a) - a*n - b*k >= 0.
+    Both contradict the supposition, so G - I has a fractional [a,b]-factor.
+    When G is complete, so is H, and only the first case arises.
+
+    alpha enters only as a bound, so no alpha is computed: the two
+    inequalities hold exactly when alpha <= k1 = delta - a - ceil(a(a+1)/b)
+    and alpha <= k2 = floor(((a + b)(U - 2a) - a*n) / b), and G is cleared
+    when it holds no independent set of min(k1, k2) + 1 vertices. The test
+    reads delta, asks about k1 + 1 vertices, and only then finds U, over the
+    nonadjacent pairs, asking again about k2 + 1 when k2 < k1; each question
+    stops at the first set it finds. False means no proof, not a failure,
+    and so does a question past CRITICALITY_BUDGET prefixes.
+    """
+    n, a, b = g.n, params.a, params.b
+    if not n:
+        return False
+    adj = g.adjacency_masks()
+    k1 = g.min_degree() - a + -a * (a + 1) // b  # the floor of -a(a+1)/b is -ceil(a(a+1)/b)
+    if k1 < 0 or _holds_independent_set(adj, k1 + 1) is not False:
+        return False
+    worst = g.least_union_pair()
+    if worst is None:
+        return True
+    k2 = ((a + b) * (worst[1] - 2 * a) - a * n) // b
+    return k2 >= k1 or k2 >= 0 and _holds_independent_set(adj, k2 + 1) is False
+
+
+def _holds_independent_set(adj: tuple[int, ...], size: int) -> bool | None:
+    """Whether the graph with adjacency masks adj has an independent set of size vertices (size >= 1).
+
+    The walk of enumerate_independent_sets for one size, depth first, with
+    each entry the vertices still needed and the free mask, and no prefix
+    kept; it stops at the first set. None once more than
+    CRITICALITY_BUDGET prefixes are expanded.
+    """
+    stack = [(size, (1 << len(adj)) - 1)]
+    expanded = 0
+    while stack:
+        need, free = stack.pop()
+        if need == 1:  # pushed with a free vertex
+            return True
+        expanded += 1
+        if expanded > CRITICALITY_BUDGET:
+            return None
+        while free.bit_count() >= need:
+            low = free & -free
+            free ^= low
+            child = free & ~adj[low.bit_length() - 1]
+            if child.bit_count() >= need - 1:
+                stack.append((need - 1, child))
+    return False
+
+
 def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:
     """The first independent set I in (size, lex) order with no factor on G - I, or None.
 
     Also returns I's 1-based index in enumerate_independent_sets order, or
     the number of independent sets when none fails, counted apart from the
-    deciding by _independent_counter. Raises ResourceLimitError once
+    deciding by _independent_counter. When proves_critical proves G
+    critical, no set is decided. Raises ResourceLimitError once
     deletion_verdicts makes more than CRITICALITY_BUDGET restore calls
     (decides and relaxed solves), or once that many masks are counted.
 
@@ -315,9 +392,10 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
     maximum, outside N(P)), then k - |P| - 1 vertices free of P + x.
     """
     failing = None
-    for ind, ok in deletion_verdicts(g, params):
-        if not ok:
-            failing = ind
+    if not proves_critical(g, params):
+        for ind, ok in deletion_verdicts(g, params):
+            if not ok:
+                failing = ind
     count, adj, free = _independent_counter(g), g.adjacency_masks(), (1 << g.n) - 1
     if failing is None:
         return None, count(free, g.n)

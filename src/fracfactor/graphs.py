@@ -82,6 +82,25 @@ class Graph:
         """Neighbor sets as bitmasks: bit v of entry u is set when uv is an edge."""
         return self._masks
 
+    def least_union_pair(self) -> tuple[tuple[int, int], int] | None:
+        """The nonadjacent pair x < y least in |N(x) | N(y)|, lex-first among ties, and that size.
+
+        None when the graph is complete, with no nonadjacent pair.
+        """
+        masks = self._masks
+        best = None
+        least = self.n
+        for u, mask_u in enumerate(masks):
+            rest = ~mask_u & ((1 << self.n) - (2 << u))  # the nonadjacent v > u
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                size = (mask_u | masks[v]).bit_count()
+                if size < least:
+                    best, least = (u, v), size
+        return None if best is None else (best, least)
+
     def vertex_subset(self, vs: Iterable[int]) -> frozenset[int]:
         """Validate vs as a set of vertices of this graph."""
         s = frozenset(vs)

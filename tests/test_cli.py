@@ -118,13 +118,14 @@ def test_check_critical_json_payload(graph_file, capsys):
 
 
 def test_check_critical_cap_exit_code(graph_file, capsys, monkeypatch):
-    # K21 is one twin class: the DFS decides the empty set and {0}, standing for 22 sets
+    # K21 is one twin class: the DFS decides the empty set and {0}, standing for 22 sets.
+    # Under (10,10) its degree 20 is too low for proves_critical, so the DFS runs.
     path = graph_file("k21.txt", complete_graph(21))
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 2)
-    assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 0
+    assert main(["check-critical", path, "-a", "10", "-b", "10"]) == 0
     assert "independent sets checked: 22" in capsys.readouterr().out
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 1)
-    assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 3
+    assert main(["check-critical", path, "-a", "10", "-b", "10"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: criticality check on 21 vertices: over 1 restore calls\n"
@@ -213,9 +214,11 @@ def test_verify_theorem_refuses_a_random_ensemble_above_the_cap(tmp_path, capsys
 
 def test_verify_theorem_refuses_orders_above_the_criticality_cap(tmp_path, capsys, monkeypatch):
     # Order 21 is swept; a check that makes more restore calls than the budget exits 3.
+    # This draw holds too many independent sets for proves_critical, so the DFS runs.
     config = tmp_path / "sweep.ini"
     config.write_text(
-        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 9/10\nsamples = 1\n"
+        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 4/5\nsamples = 1\n"
+        "seed = 5\n"
     )
     assert main(["verify-theorem", str(config)]) == 0
     assert "(a=1, b=1): 1 graphs, 1 pass the conditions, 1 confirmed critical" in capsys.readouterr().out

@@ -24,7 +24,7 @@ from fracfactor import (
     order_margin,
     random_graph,
 )
-from fracfactor.criticality import deletion_verdicts, twin_classes
+from fracfactor.criticality import deletion_verdicts, proves_critical, twin_classes
 from fracfactor.factor import double_cover
 from fracfactor.graphs import Graph
 from fracfactor.maxflow import feasible_flow
@@ -680,6 +680,103 @@ def test_condition_passing_graphs_of_the_33_region_are_critical():
                 assert report.verdict
                 assert report.independent_sets_checked == len(list(enumerate_independent_sets(g)))
     assert passing == 40
+
+
+SIX_PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
+
+
+def test_proves_critical_clears_only_critical_graphs_on_every_small_graph():
+    # The oracle deletes every independent set of each graph cleared. Below order 7 only
+    # complete graphs are cleared: delta - alpha is too small elsewhere.
+    cleared = []
+    for g in labeled_graphs(6):
+        edges = g.edges()
+        for a, b in SIX_PAIRS:
+            if g.n and proves_critical(g, FactorParams(a, b)):
+                cleared.append((g.n, len(edges), a, b))
+                for ind in naive_independent_sets(g.n, edges):
+                    assert naive_has_factor(*naive_deletion(g.n, edges, ind), a, b)
+    assert cleared == [
+        (4, 6, 1, 2), (4, 6, 1, 3),
+        (5, 10, 1, 1), (5, 10, 1, 2), (5, 10, 1, 3),
+        (6, 15, 1, 1), (6, 15, 1, 2), (6, 15, 1, 3), (6, 15, 2, 3),
+    ]
+
+
+def lemma_cases():
+    """Seeded G(n, p), n 5-22 and p 1/2-9/10, two of each, under each of SIX_PAIRS."""
+    for n in range(5, 23):
+        for p in (Fraction(1, 2), Fraction(3, 5), Fraction(7, 10), Fraction(4, 5), Fraction(9, 10)):
+            for i in range(2):
+                g = random_graph(n, p, 1000 * n + 10 * p.numerator + i)
+                for a, b in SIX_PAIRS:
+                    yield g, FactorParams(a, b)
+
+
+def test_every_random_graph_proves_critical_clears_is_critical():
+    cleared = 0
+    for g, params in lemma_cases():
+        if proves_critical(g, params):
+            cleared += 1
+            for ind in enumerate_independent_sets(g):
+                assert has_fractional_factor(g.delete_vertices(ind)[0], params)
+    assert cleared == 293
+
+
+def independence_number(adj, candidates):
+    """The largest independent set inside candidates: its least vertex is left out or taken."""
+    if not candidates:
+        return 0
+    v = min(candidates)
+    rest = candidates - {v}
+    return max(independence_number(adj, rest), 1 + independence_number(adj, rest - adj[v]))
+
+
+def test_proves_critical_is_the_lemma_with_alpha_computed():
+    # b(delta - alpha - a) >= a(a + 1) and, with a nonadjacent pair,
+    # (a + b)(U - 2a) - a*n >= b*alpha, with alpha and U read off the oracle's sets
+    decided = Counter()
+    for g, params in lemma_cases():
+        a, b, n = params.a, params.b, g.n
+        adj = adjacency(n, g.edges())
+        alpha = independence_number(adj, set(range(n)))
+        delta = min(len(adj[v]) for v in range(n))
+        unions = [len(adj[x] | adj[y]) for x, y in combinations(range(n), 2) if y not in adj[x]]
+        want = b * (delta - alpha - a) >= a * (a + 1) and (
+            not unions or (a + b) * (min(unions) - 2 * a) - a * n >= b * alpha
+        )
+        assert proves_critical(g, params) is want, (n, g.edges(), a, b)
+        decided[want] += 1
+    assert decided == {True: 293, False: 787}
+
+
+def test_proves_critical_clears_no_extremal_graph():
+    built = 0
+    for build in GENERATED_KINDS.values():
+        for a, b in SIX_PAIRS:
+            params = FactorParams(a, b)
+            for t in range(1, 9):
+                try:
+                    g = build(params, t)[0]
+                except InputError:  # the degree family needs b * t even
+                    continue
+                built += 1
+                assert not proves_critical(g, params), (build.__name__, a, b, t)
+    assert built == 79
+
+
+def test_a_cleared_graph_decides_no_set_and_a_long_walk_abstains(monkeypatch):
+    g, params = random_graph(40, Fraction(3, 4), 1), FactorParams(3, 3)  # a CI contract row
+
+    def never_searched(*_):
+        raise AssertionError("deletion_verdicts ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(criticality, "deletion_verdicts", never_searched)
+        assert first_failing_set(g, params) == (None, 458)
+    # The question walk needs more than one prefix here; past the budget it abstains.
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 1)
+    assert not proves_critical(g, params)
 
 
 def test_report_serialization_shape():

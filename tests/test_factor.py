@@ -185,6 +185,15 @@ def test_scan_certificate_is_the_oracles_on_random_graphs(n):
         for h in (g, by_degree(g)):
             for a, b in SCAN_PAIRS[n % 3 :: 3] + [(top, top), (top, top + 2)]:
                 assert_scan_is_the_oracle(h, a, b)
+    # The worst S above is mostly empty. The odd paths under (1,1) fail at S = the odd
+    # vertices, and G(n, 1/3) under every a <= b <= 4 puts vertices of degree above b
+    # beside low-degree ones: over n = 6-12, 43 of these certificates have a nonempty S.
+    assert_scan_is_the_oracle(path_graph(n), 1, 1)
+    g = random_graph(n, Fraction(1, 3), 2000 * n + 3)
+    for h in (g, by_degree(g)):
+        for b in range(1, 5):
+            for a in range(1, b + 1):
+                assert_scan_is_the_oracle(h, a, b)
 
 
 # -- flow solver --------------------------------------------------------------
