@@ -214,9 +214,16 @@ def _cmd_check_hypotheses(args: argparse.Namespace) -> int:
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     config = parse_sweep_config(_read_text(args.config))
-    if config.output_path:  # an unwritable path fails here, before any graph is examined
-        open(config.output_path, "a").close()
-    result = run_sweep(config)
+    report = Path(config.output_path) if config.output_path else None
+    created = report is not None and not report.exists()
+    if report:  # an unwritable path fails here, before any graph is examined
+        open(report, "a").close()
+    try:
+        result = run_sweep(config)
+    except BaseException:  # a failed sweep leaves no empty report behind
+        if created:
+            report.unlink(missing_ok=True)
+        raise
     payload = result.to_dict()
     lines = []
     for summary in result.summaries:
@@ -232,10 +239,8 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
         for cex in summary.counterexamples:
             lines.append(f"counterexample [{cex.kind}] at {cex.source}:")
             lines.append(f"  edges: {list(cex.edges)}")
-    if config.output_path:
-        Path(config.output_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
+    if report:
+        report.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         lines.append(f"report written to {config.output_path}")
     _emit(args, payload, lines)
     return 0 if result.counterexample_count == 0 else 1

@@ -29,58 +29,75 @@ from .graphs import Graph, mask_vertices
 # Restore calls deletion_verdicts may make (each decides a canonical set or, for a < b,
 # tries a relaxed solve), and masks the count may memoize, per check; no graph of order <= 20
 # reaches either. A set took 2.1-10.3 us on G(60..1000, p) under (1, 2) and (3, 3) (CPython 3.11,
-# 2-core Xeon), so a trip of the first takes about 2-11 s. proves_critical's questions abstain
-# past as many prefixes. It clears the conditions' boundary graphs from order 100 to 300 in at
-# most 10 ms, under a = b as well, so there the memo is the wall: near order 170-180 for
-# a < b and between 200 and 220 for a = b, after about 6-11 s.
+# 2-core Xeon), so a trip of the first takes about 2-11 s. A walk of _sets_of_size (one size
+# level of enumerate_independent_sets, or proves_critical's question, which then abstains)
+# raises past as many expanded prefixes. proves_critical clears the conditions' boundary graphs
+# from order 100 to 300 in at most 10 ms, under a = b as well, so there the memo is the wall:
+# near order 170-180 for a < b and between 200 and 220 for a = b, after about 6-11 s.
 CRITICALITY_BUDGET = 2**20
 
 
 def enumerate_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
     """Yield every independent set of g, by increasing size, then lexicographic.
 
-    Each size k is one walk of an explicit stack. An entry is a prefix and
-    its free mask: the vertices above the prefix's maximum that neighbour
-    none of its members. Expanding a prefix pushes, for each free vertex v,
-    the prefix plus v with the free vertices above v outside v's
-    neighbourhood, but only while that mask still holds as many vertices as
-    k still needs (a popcount test), so no prefix short of free vertices is
-    expanded; a prefix one short of k yields its sets straight off its free
-    mask. Children are pushed in reverse, so each size comes out in
-    lexicographic order. The stack holds the children of at most one
-    expansion per level, at most n entries per level: O(n^2) entries in
-    all, and no size level is buffered.
-
-    Independence is hereditary, so once some size has no independent set no
-    larger size can either; enumeration stops at the first empty level.
+    Each size is one walk of _sets_of_size. Independence is hereditary, so
+    once some size has no independent set no larger size can either;
+    enumeration stops at the first empty level. Raises ResourceLimitError
+    once one level expands more than CRITICALITY_BUDGET prefixes.
     """
-    n = g.n
     masks = g.adjacency_masks()
     yield frozenset()
-    for size in range(1, n + 1):
-        found = False
-        stack = [((), (1 << n) - 1)]
-        while stack:
-            prefix, free = stack.pop()
-            need = size - len(prefix)
-            if need == 1:
-                found = True
-                while free:
-                    low = free & -free
-                    free ^= low
-                    yield frozenset((*prefix, low.bit_length() - 1))
-                continue
-            children = []
-            while free.bit_count() >= need:
+    for size in range(1, g.n + 1):
+        level = _sets_of_size(masks, size)
+        first = next(level, None)
+        if first is None:
+            break
+        yield first
+        yield from level
+
+
+def _sets_of_size(adj: tuple[int, ...], size: int) -> Iterator[frozenset[int]]:
+    """Yield the independent sets of size vertices (size >= 1) in lexicographic order.
+
+    adj holds the graph's adjacency masks. The walk is one explicit stack.
+    An entry is a prefix and its free mask: the vertices above the prefix's
+    maximum that neighbour none of its members. Expanding a prefix pushes,
+    for each free vertex v, the prefix plus v with the free vertices above v
+    outside v's neighbourhood, but only while that mask still holds as many
+    vertices as the size still needs (a popcount test), so no prefix short
+    of free vertices is expanded; a prefix one short of the size yields its
+    sets straight off its free mask. Children are pushed in reverse, so the
+    sets come out in lexicographic order. The stack holds the children of at
+    most one expansion per level, at most n entries per level: O(n^2)
+    entries in all. Each expanded prefix is a distinct independent set; one
+    more than CRITICALITY_BUDGET of them raises ResourceLimitError.
+    """
+    stack = [((), (1 << len(adj)) - 1)]
+    expanded = 0
+    while stack:
+        prefix, free = stack.pop()
+        need = size - len(prefix)
+        if need == 1:
+            while free:
                 low = free & -free
                 free ^= low
-                v = low.bit_length() - 1
-                child = free & ~masks[v]
-                if child.bit_count() >= need - 1:
-                    children.append(((*prefix, v), child))
-            stack += reversed(children)
-        if not found:
-            break
+                yield frozenset((*prefix, low.bit_length() - 1))
+            continue
+        expanded += 1
+        if expanded > CRITICALITY_BUDGET:
+            raise ResourceLimitError(
+                f"independent sets of size {size} on {len(adj)} vertices: "
+                f"over {CRITICALITY_BUDGET} prefixes expanded"
+            )
+        children = []
+        while free.bit_count() >= need:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            child = free & ~adj[v]
+            if child.bit_count() >= need - 1:
+                children.append(((*prefix, v), child))
+        stack += reversed(children)
 
 
 def maximal_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
@@ -331,49 +348,24 @@ def proves_critical(g: Graph, params: FactorParams) -> bool:
     inequalities hold exactly when alpha <= k1 = delta - a - ceil(a(a+1)/b)
     and alpha <= k2 = floor(((a + b)(U - 2a) - a*n) / b), and G is cleared
     when it holds no independent set of min(k1, k2) + 1 vertices. The test
-    reads delta, asks about k1 + 1 vertices, and only then finds U, over the
-    nonadjacent pairs, asking again about k2 + 1 when k2 < k1; each question
-    stops at the first set it finds. False means no proof, not a failure,
-    and so does a question past CRITICALITY_BUDGET prefixes.
+    reads delta, stops if k1 < 0, then finds U over the nonadjacent pairs
+    and asks the one question: a walk of _sets_of_size that stops at the
+    first set it finds. False means no proof, not a failure, and so does a
+    walk past CRITICALITY_BUDGET prefixes.
     """
     n, a, b = g.n, params.a, params.b
     if not n:
         return False
-    adj = g.adjacency_masks()
-    k1 = g.min_degree() - a + -a * (a + 1) // b  # the floor of -a(a+1)/b is -ceil(a(a+1)/b)
-    if k1 < 0 or _holds_independent_set(adj, k1 + 1) is not False:
+    k = g.min_degree() - a + -a * (a + 1) // b  # k1: the floor of -a(a+1)/b is -ceil(a(a+1)/b)
+    if k < 0:
         return False
     worst = g.least_union_pair()
-    if worst is None:
-        return True
-    k2 = ((a + b) * (worst[1] - 2 * a) - a * n) // b
-    return k2 >= k1 or k2 >= 0 and _holds_independent_set(adj, k2 + 1) is False
-
-
-def _holds_independent_set(adj: tuple[int, ...], size: int) -> bool | None:
-    """Whether the graph with adjacency masks adj has an independent set of size vertices (size >= 1).
-
-    The walk of enumerate_independent_sets for one size, depth first, with
-    each entry the vertices still needed and the free mask, and no prefix
-    kept; it stops at the first set. None once more than
-    CRITICALITY_BUDGET prefixes are expanded.
-    """
-    stack = [(size, (1 << len(adj)) - 1)]
-    expanded = 0
-    while stack:
-        need, free = stack.pop()
-        if need == 1:  # pushed with a free vertex
-            return True
-        expanded += 1
-        if expanded > CRITICALITY_BUDGET:
-            return None
-        while free.bit_count() >= need:
-            low = free & -free
-            free ^= low
-            child = free & ~adj[low.bit_length() - 1]
-            if child.bit_count() >= need - 1:
-                stack.append((need - 1, child))
-    return False
+    if worst is not None:
+        k = min(k, ((a + b) * (worst[1] - 2 * a) - a * n) // b)  # k2
+    try:
+        return k >= 0 and next(_sets_of_size(g.adjacency_masks(), k + 1), None) is None
+    except ResourceLimitError:
+        return False
 
 
 def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:
@@ -384,7 +376,7 @@ def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | 
     deciding by _independent_counter. When proves_critical proves G
     critical, no set is decided. Raises ResourceLimitError once
     deletion_verdicts makes more than CRITICALITY_BUDGET restore calls
-    (decides and relaxed solves), or once that many masks are counted.
+    (decides and relaxed solves), or once more than that many masks are counted.
 
     The total is count(V, n). A failing I of size k follows the count(V, k - 1)
     smaller sets and each D of size k below it in lex order: D shares a

@@ -254,6 +254,27 @@ def test_verify_theorem_refuses_an_unwritable_output_path_before_sweeping(
     assert "report.json" in err
 
 
+def test_verify_theorem_removes_only_a_report_it_created_when_the_sweep_fails(
+    tmp_path, capsys, monkeypatch
+):
+    # The order-21 draw above, with a budget its check overruns: the sweep exits 3.
+    report_path = tmp_path / "report.json"
+    config = tmp_path / "sweep.ini"
+    config.write_text(
+        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 4/5\nsamples = 1\n"
+        f"seed = 5\n[output]\npath = {report_path}\n"
+    )
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 3)
+    assert main(["verify-theorem", str(config)]) == 3
+    assert "over 3 restore calls" in capsys.readouterr().err
+    assert not report_path.exists()
+    # A report that was there before the run is left as it was.
+    report_path.write_text("an earlier report\n")
+    assert main(["verify-theorem", str(config)]) == 3
+    capsys.readouterr()
+    assert report_path.read_text() == "an earlier report\n"
+
+
 def test_verify_theorem_replaces_an_existing_report(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     report_path.write_text("stale contents that run longer than the report itself\n" * 100)

@@ -77,6 +77,31 @@ def test_maximal_independent_sets_complete():
     assert got == [(0,), (1,), (2,), (3,)]
 
 
+def test_enumeration_raises_at_the_first_level_past_the_budget(monkeypatch):
+    g = random_graph(12, Fraction(1, 2), 0)
+    adj = g.adjacency_masks()
+    uncapped = list(enumerate_independent_sets(g))
+
+    def expanded(size):  # prefixes short of size - 1 whose free vertices still number enough
+        count = 0
+        for prefix in uncapped:
+            free = (1 << g.n) - 1
+            for v in prefix:
+                free &= -(2 << v) & ~adj[v]
+            count += len(prefix) <= size - 2 and free.bit_count() >= size - len(prefix)
+        return count
+
+    assert [expanded(size) for size in range(1, 7)] == [0, 1, 11, 27, 12, 6]
+    assert Counter(map(len, uncapped)) == {0: 1, 1: 12, 2: 40, 3: 45, 4: 15, 5: 1}
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 11)  # size 3 expands exactly 11
+    yielded = []
+    with pytest.raises(ResourceLimitError, match="size 4 on 12 vertices: over 11 prefixes expanded"):
+        for ind in enumerate_independent_sets(g):
+            yielded.append(ind)
+    assert yielded == uncapped[: len(yielded)]
+    assert 1 + 12 + 40 + 45 <= len(yielded) < 1 + 12 + 40 + 45 + 15
+
+
 def test_complete_graphs_are_critical():
     # deleting any independent set of K_n leaves a smaller complete graph;
     # cross-checked against the subset-scan oracle rather than assumed
@@ -777,6 +802,30 @@ def test_a_cleared_graph_decides_no_set_and_a_long_walk_abstains(monkeypatch):
     # The question walk needs more than one prefix here; past the budget it abstains.
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 1)
     assert not proves_critical(g, params)
+
+
+def test_proves_critical_walks_once_and_only_past_delta(monkeypatch):
+    walked = []
+    walk = criticality._sets_of_size
+
+    def counted(adj, size):
+        walked.append(size)
+        return walk(adj, size)
+
+    monkeypatch.setattr(criticality, "_sets_of_size", counted)
+    g = random_graph(120, Fraction(2, 5), 1)
+    assert (g.min_degree(), g.least_union_pair()[1]) == (33, 57)  # alpha is 12
+    assert proves_critical(g, FactorParams(1, 2))  # k1 = 31, k2 = 22: no set of 23
+    assert walked == [23]
+    assert not proves_critical(g, FactorParams(2, 3))  # k1 = 29, k2 = 8: a set of 9
+    assert walked == [23, 9]
+
+    def never_read(*_):
+        raise AssertionError("least_union_pair ran")
+
+    monkeypatch.setattr(Graph, "least_union_pair", never_read)
+    assert not proves_critical(path_graph(3), P11)  # k1 = 1 - 1 - 2 < 0
+    assert walked == [23, 9]
 
 
 def test_report_serialization_shape():
