@@ -124,6 +124,13 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
             print(line)
 
 
+def _certificate_line(cert: dict | None) -> str:
+    """The text of a JSON certificate, as check-factor and check-critical print it."""
+    if cert is None:
+        return "certificate: not extracted (order above the subset-scan cap)"
+    return f"certificate: S={cert['s']} T={cert['t']} delta={cert['delta']}"
+
+
 def _cmd_check_factor(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     params = FactorParams(args.a, args.b)
@@ -150,15 +157,8 @@ def _cmd_check_factor(args: argparse.Namespace) -> int:
         _emit(args, payload, lines)
         return 0
     lines.append("feasible: no")
-    if result.certificate is not None:
-        cert = result.certificate
-        payload["certificate"] = cert.to_dict()
-        lines.append(
-            f"certificate: S={sorted(cert.s)} T={sorted(cert.t)} delta={cert.delta}"
-        )
-    else:
-        payload["certificate"] = None
-        lines.append("certificate: not extracted (order above the subset-scan cap)")
+    payload["certificate"] = result.certificate.to_dict() if result.certificate else None
+    lines.append(_certificate_line(payload["certificate"]))
     _emit(args, payload, lines)
     return 1
 
@@ -177,12 +177,7 @@ def _cmd_check_critical(args: argparse.Namespace) -> int:
     ]
     if not report.verdict:
         lines.append(f"failing independent set: {sorted(report.failing_set or ())}")
-        original = payload.get("certificate_original_labels")
-        if original is not None:
-            lines.append(
-                f"certificate (original labels): S={original['s']} T={original['t']} "
-                f"delta={original['delta']}"
-            )
+        lines.append(_certificate_line(payload["certificate"]))
     _emit(args, payload, lines)
     return 0 if report.verdict else 1
 

@@ -68,6 +68,11 @@ class ConstructionLabels:
         }
 
 
+def _require_scale(t: int) -> None:
+    if type(t) is not int or t < 1:  # a bool is refused too
+        raise InputError(f"t must be a positive integer, got {t!r}")
+
+
 def neighborhood_extremal_graph(
     params: FactorParams, t: int
 ) -> tuple[Graph, ConstructionLabels]:
@@ -77,8 +82,7 @@ def neighborhood_extremal_graph(
     largest part has a neighborhood union of exactly (a+b)t, and deleting
     the middle part leaves a graph with no fractional [a,b]-factor.
     """
-    if not isinstance(t, int) or t < 1:
-        raise InputError(f"t must be a positive integer, got {t!r}")
+    _require_scale(t)
     a, b = params.a, params.b
     sizes = (a * t, b * t, b * t + 1)
     g = complete_multipartite_graph(sizes)
@@ -107,8 +111,7 @@ def min_degree_extremal_graph(
     degree sits at u, one below the degree bound, and deleting the first
     block strands u with degree a - 1 < a.
     """
-    if not isinstance(t, int) or t < 1:
-        raise InputError(f"t must be a positive integer, got {t!r}")
+    _require_scale(t)
     a, b = params.a, params.b
     bt = b * t
     at = a * t

@@ -116,10 +116,12 @@ def maximal_independent_sets(g: Graph) -> Iterator[frozenset[int]]:
 class CriticalityReport:
     """Outcome of the criticality check.
 
-    On failure, failing_set holds the first bad independent set in
-    enumeration order (original vertex labels). The certificate, when
-    present, speaks in the labels of the re-indexed deleted graph;
-    vertex_map carries old -> new so callers can translate back.
+    On failure, failing_set holds the first bad independent set I in
+    enumeration order. The certificate is reported in G's labels, by
+    certificate_in_original_labels and as to_dict's "certificate" (null
+    when G - I is above the subset-scan cap). failing_certificate (in the
+    labels of G - I re-indexed) and vertex_map (G's labels to those) stay as
+    fields because bench/workloads.py replays the one against the other.
     """
 
     verdict: bool
@@ -128,15 +130,13 @@ class CriticalityReport:
     failing_certificate: ViolationCertificate | None = None
     vertex_map: dict[int, int] | None = None
 
-    def certificate_in_original_labels(self) -> tuple[frozenset[int], frozenset[int], int] | None:
-        if self.failing_certificate is None or self.vertex_map is None:
+    def certificate_in_original_labels(self) -> ViolationCertificate | None:
+        cert = self.failing_certificate
+        if cert is None or self.vertex_map is None:
             return None
         back = {new: old for old, new in self.vertex_map.items()}
-        cert = self.failing_certificate
-        return (
-            frozenset(back[v] for v in cert.s),
-            frozenset(back[v] for v in cert.t),
-            cert.delta,
+        return ViolationCertificate(
+            frozenset(back[v] for v in cert.s), frozenset(back[v] for v in cert.t), cert.delta
         )
 
     def to_dict(self) -> dict:
@@ -145,20 +145,9 @@ class CriticalityReport:
             "independent_sets_checked": self.independent_sets_checked,
         }
         if not self.verdict:
+            cert = self.certificate_in_original_labels()
             out["failing_set"] = sorted(self.failing_set or ())
-            if self.failing_certificate is not None:
-                out["certificate"] = self.failing_certificate.to_dict()
-                out["vertex_map"] = {
-                    str(k): v for k, v in sorted((self.vertex_map or {}).items())
-                }
-                original = self.certificate_in_original_labels()
-                if original is not None:
-                    s, t, delta = original
-                    out["certificate_original_labels"] = {
-                        "s": sorted(s),
-                        "t": sorted(t),
-                        "delta": delta,
-                    }
+            out["certificate"] = cert.to_dict() if cert else None
         return out
 
 

@@ -71,6 +71,13 @@ class SweepConfig:
             raise InputError("sweep config lists no (a, b) pairs")
         for a, b in self.pairs:
             FactorParams(a, b)
+        integers = [("random samples", self.random_samples), ("seed", self.seed)]
+        integers += [("random order", x) for x in self.random_orders]
+        if self.exhaustive_max_n is not None:
+            integers.append(("exhaustive max_n", self.exhaustive_max_n))
+        for name, value in integers:
+            if type(value) is not int:  # a bool is refused too
+                raise InputError(f"{name} must be an integer, got {value!r}")
         has_random = bool(self.random_orders)
         if has_random:
             if min(self.random_orders) < 1:

@@ -106,6 +106,13 @@ def test_check_critical_no_reports_failure(graph_file, capsys):
     assert "critical: no" in out
     assert "failing independent set: []" in out
     assert "S=[1] T=[0, 2] delta=-1" in out
+    # C4 fails at {0}: the certificate of G - {0} is printed in C4's labels
+    path = graph_file("c4.txt", cycle_graph(4))
+    assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "failing independent set: [0]",
+        "certificate: S=[2] T=[1, 3] delta=-1",
+    ]
 
 
 def test_check_critical_json_payload(graph_file, capsys):
@@ -136,10 +143,14 @@ def test_check_critical_reports_a_failure_above_the_scan_cap_without_a_certifica
 ):
     path = graph_file("p21.txt", path_graph(21))
     assert main(["check-critical", path, "-a", "1", "-b", "1"]) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "failing independent set: []"
+    # the same line and the same null as check-factor's
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "failing independent set: []",
+        "certificate: not extracted (order above the subset-scan cap)",
+    ]
     assert main(["--format", "json", "check-critical", path, "-a", "1", "-b", "1"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert (payload["failing_set"], "certificate" in payload) == ([], False)
+    assert (payload["failing_set"], payload["certificate"]) == ([], None)
 
 
 def test_check_hypotheses_pass_and_fail(graph_file, capsys):

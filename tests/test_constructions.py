@@ -77,8 +77,13 @@ def test_neighborhood_family_designated_deletion():
 
 
 def test_neighborhood_family_rejects_bad_t():
-    with pytest.raises(InputError):
-        neighborhood_extremal_graph(FactorParams(1, 1), 0)
+    # both families share the check; a bool is not an integer t
+    for generator in (neighborhood_extremal_graph, min_degree_extremal_graph):
+        for t in (0, True):
+            with pytest.raises(InputError, match="t must be a positive integer"):
+                generator(FactorParams(2, 2), t)
+    with pytest.raises(InputError, match="got True"):
+        verify_sharpness("neighborhood-extremal", FactorParams(1, 1), True)
 
 
 # -- degree-extremal family ---------------------------------------------------

@@ -10,6 +10,7 @@ from fracfactor import (
     FactorParams,
     InputError,
     ResourceLimitError,
+    ViolationCertificate,
     check_criticality_conditions,
     complete_multipartite_graph,
     criticality,
@@ -29,7 +30,13 @@ from fracfactor.factor import double_cover
 from fracfactor.graphs import Graph
 from fracfactor.maxflow import feasible_flow
 
-from oracle import adjacency, naive_deletion, naive_has_factor, naive_independent_sets
+from oracle import (
+    adjacency,
+    naive_deletion,
+    naive_has_factor,
+    naive_independent_sets,
+    naive_violation,
+)
 from standard_graphs import complete_graph, cycle_graph, empty_graph, path_graph
 from test_factor import oracle_verdicts
 
@@ -565,7 +572,28 @@ def test_failing_certificate_translates_back():
     assert report.vertex_map == {1: 0, 2: 1, 3: 2}
     assert report.failing_certificate.s == frozenset({1})
     original = report.certificate_in_original_labels()
-    assert original == (frozenset({2}), frozenset({1, 3}), -1)
+    assert original == ViolationCertificate(frozenset({2}), frozenset({1, 3}), -1)
+
+
+def test_report_certificate_is_the_oracles_in_the_input_labels():
+    # Each failing report's JSON certificate is naive_violation on G - I, mapped back to G.
+    failures = 0
+    for n in range(3, 13):
+        for p in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+            g = random_graph(n, p, 100 * n + p.denominator)
+            for a, b in ((a, b) for b in (1, 2, 3) for a in range(1, b + 1)):
+                doc = is_fractional_id_factor_critical(g, FactorParams(a, b)).to_dict()
+                if doc["verdict"]:
+                    continue
+                failing = set(doc["failing_set"])
+                kept = [v for v in range(n) if v not in failing]
+                s, t, delta = naive_violation(*naive_deletion(n, g.edges(), failing), a, b)
+                want = {"s": sorted(kept[v] for v in s), "t": sorted(kept[v] for v in t)}
+                want["delta"] = delta
+                assert doc["certificate"] == want
+                assert not failing & {*want["s"], *want["t"]}
+                failures += 1
+    assert failures == 136  # 52 of them with I nonempty
 
 
 def test_octahedron_is_critical_for_11():
@@ -832,9 +860,19 @@ def test_report_serialization_shape():
     report = is_fractional_id_factor_critical(cycle_graph(4), P11)
     doc = report.to_dict()
     assert doc["verdict"] is False
-    assert doc["failing_set"] == [0]
-    assert doc["certificate"]["delta"] == -1
-    assert doc["certificate_original_labels"]["s"] == [2]
+    # one certificate, in G's labels: G - {0} is the path 1-2-3
+    assert doc == {
+        "verdict": False,
+        "independent_sets_checked": 2,
+        "failing_set": [0],
+        "certificate": {"s": [2], "t": [1, 3], "delta": -1},
+    }
+    above_the_cap = is_fractional_id_factor_critical(path_graph(21), P11).to_dict()
+    assert (above_the_cap["failing_set"], above_the_cap["certificate"]) == ([], None)
+    assert is_fractional_id_factor_critical(complete_graph(3), P11).to_dict() == {
+        "verdict": True,
+        "independent_sets_checked": 4,
+    }
 
 
 def test_a_beyond_a_machine_word_fails_at_the_first_short_round():

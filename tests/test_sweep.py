@@ -130,6 +130,12 @@ def test_parse_rejects_non_integer_max_n():
         ({"random_probabilities": (Fraction(1, 2), Fraction(3, 2))}, "outside \\[0, 1\\]"),
         ({"random_probabilities": (Fraction(-1, 4),)}, "outside \\[0, 1\\]"),
         ({"exhaustive_max_n": 0}, "max_n must be >= 1"),
+        ({"exhaustive_max_n": 2.5}, "exhaustive max_n must be an integer, got 2.5"),
+        ({"exhaustive_max_n": True}, "exhaustive max_n must be an integer, got True"),
+        ({"random_orders": (True,)}, "random order must be an integer, got True"),
+        ({"random_orders": (6, 2.5)}, "random order must be an integer, got 2.5"),
+        ({"random_samples": True}, "random samples must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ],
 )
 def test_config_rejects_malformed_ensembles(changes, message):
