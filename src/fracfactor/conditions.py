@@ -153,25 +153,36 @@ def check_deletion_invariants(
     conditions is check_criticality_conditions(g, params) as the caller holds
     it. Only its order, (a, b) pair and verdict are checked here, so a passing
     report of another graph may reach X = V, where deleted_min_degree is None.
+    X's vertex ids are checked first, then its independence, then the report.
+    One pass over the masks tests independence and finds delta(G - X).
     """
-    x = g.vertex_subset(ind_set)
-    masks = g.adjacency_masks()
-    x_mask = sum(1 << v for v in x)
-    if any(masks[v] & x_mask for v in x):
-        raise InputError("the audited vertex set must be independent")
-    if (conditions.n, conditions.a, conditions.b) != (g.n, params.a, params.b):
+    n = g.n
+    x_mask = 0
+    for v in ind_set:
+        if type(v) is not int or not 0 <= v < n:  # a bool is refused too
+            raise InputError(f"vertex {v!r} out of range for {n} vertices")
+        x_mask |= 1 << v
+    kept = ~x_mask
+    deleted_min_degree = None
+    for v, mask in enumerate(g.adjacency_masks()):
+        if x_mask >> v & 1:
+            if mask & x_mask:
+                raise InputError("the audited vertex set must be independent")
+        else:
+            degree = (mask & kept).bit_count()
+            if deleted_min_degree is None or degree < deleted_min_degree:
+                deleted_min_degree = degree
+    if (conditions.n, conditions.a, conditions.b) != (n, params.a, params.b):
         raise InputError("the condition report is for another order or (a, b) pair")
     if not conditions.all_ok:
         raise InputError(
             "deletion invariants only apply when the order, degree and "
             "neighborhood conditions all hold"
         )
-    kept = ~x_mask
-    degrees = [(m & kept).bit_count() for v, m in enumerate(masks) if kept >> v & 1]
-    deleted_min_degree = min(degrees, default=None)
+    size = x_mask.bit_count()
     return DeletionCheck(
-        set_size=len(x),
-        size_margin=params.b * g.n - (params.a + 2 * params.b) * len(x),
+        set_size=size,
+        size_margin=params.b * n - (params.a + 2 * params.b) * size,
         deleted_min_degree=deleted_min_degree,
         min_degree_margin=None if deleted_min_degree is None else deleted_min_degree - params.a,
     )

@@ -151,25 +151,6 @@ class CriticalityReport:
         return out
 
 
-def twin_classes(adj: tuple[int, ...]) -> list[int]:
-    """The mask of each vertex's twin class, for the graph with adjacency masks adj.
-
-    u and v are false twins when N(u) = N(v) and true twins when
-    N[u] = N[v]; each relation is an equivalence. An open neighbourhood
-    never equals a closed one (N(u) = N[v] would put v in N(u), so u in
-    N(v) and in N[v] = N(u)), so one dict keyed by both finds both. No
-    vertex has twins of both kinds: with N(u) = N(v) and N[u] = N[w], w is
-    in N(v), so v is in N[w] = N[u], and v would neighbour its false twin u.
-    A vertex without twins is a class of one.
-    """
-    groups: dict[int, int] = {}
-    for v, nbrs in enumerate(adj):
-        bit = 1 << v
-        groups[nbrs] = groups.get(nbrs, 0) | bit
-        groups[nbrs | bit] = groups.get(nbrs | bit, 0) | bit
-    return [groups[nbrs] | groups[nbrs | 1 << v] for v, nbrs in enumerate(adj)]
-
-
 def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, bool]]:
     """Yield (I, whether G - I has a fractional [a,b]-factor) over a DFS of canonical I.
 
@@ -180,7 +161,7 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
     function's docstring).
 
     Only canonical sets are decided: those meeting each twin class K (see
-    twin_classes) in its |I & K| lowest members. That loses nothing:
+    Graph.twin_classes) in its |I & K| lowest members. That loses nothing:
     - swapping twins u and v fixes every other vertex's adjacency to both,
       and the edge uv if there is one, so it is an automorphism, and
       G - I is isomorphic to G - I' for every I' in I's orbit under twin
@@ -231,7 +212,7 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
     b, spare = params.b, params.b - params.a
     adj = g.adjacency_masks()
     restore = augmenting_search(adj, b)
-    classes = twin_classes(adj)
+    classes = g.twin_classes()
     above = [k & -(2 << v) for v, k in enumerate(classes)]  # each vertex's higher twins
     next_twin = [m & -m for m in above]
     addable = [m & ~adj[v] for v, m in enumerate(above)]  # higher false twins only
@@ -409,7 +390,7 @@ def _independent_counter(g: Graph) -> Callable[[int, int], int]:
     """
     adj = g.adjacency_masks()
     # each vertex's false twins (a true twin's class meets its neighbourhood): a mask inside is edgeless
-    alike = [k & ~adj[v] for v, k in enumerate(twin_classes(adj))]
+    alike = [k & ~adj[v] for v, k in enumerate(g.twin_classes())]
     memo: dict[tuple[int, int], int] = {}
 
     def count(mask: int, k: int) -> int:

@@ -1,9 +1,12 @@
 """Immutable simple graphs over dense integer vertices 0..n-1.
 
 Every operation returns a new value; nothing mutates a graph after
-construction, so instances are safe to share. Construction validates its
-edges: loops, duplicates and out-of-range endpoints are hard errors, never
-silently repaired.
+construction, so instances are safe to share. A graph computes two
+invariants, its least-union pair and its twin classes, on first use and
+keeps them, because several checks read each; the kept values are
+immutable, and equality and hashing read only the order and the masks.
+Construction validates its edges: loops, duplicates and out-of-range
+endpoints are hard errors, never silently repaired.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ Edge = tuple[int, int]
 
 MAX_ORDER = 1000
 
+_UNSET = object()  # a stored invariant not computed yet; None is a least_union_pair result
+
 
 def require_order(n: int) -> None:
     """Refuse an order above MAX_ORDER, before anything of that size is built."""
@@ -26,7 +31,7 @@ def require_order(n: int) -> None:
 class Graph:
     """A finite simple undirected graph, held as one neighbour bitmask per vertex."""
 
-    __slots__ = ("n", "_masks")
+    __slots__ = ("n", "_masks", "_least_union", "_twins")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if type(n) is not int or n < 0:  # a bool is refused too
@@ -51,6 +56,7 @@ class Graph:
             raise InputError(f"malformed edge {edge!r}: need a pair of integer vertex ids") from None
         self.n = n
         self._masks: tuple[int, ...] = tuple(masks)
+        self._least_union = self._twins = _UNSET  # filled by least_union_pair and twin_classes
 
     # -- basic queries ----------------------------------------------------
 
@@ -85,8 +91,11 @@ class Graph:
     def least_union_pair(self) -> tuple[tuple[int, int], int] | None:
         """The nonadjacent pair x < y least in |N(x) | N(y)|, lex-first among ties, and that size.
 
-        None when the graph is complete, with no nonadjacent pair.
+        None when the graph is complete, with no nonadjacent pair. Computed on
+        the first call and stored.
         """
+        if self._least_union is not _UNSET:
+            return self._least_union
         masks = self._masks
         best = None
         least = self.n
@@ -99,7 +108,30 @@ class Graph:
                 size = (mask_u | masks[v]).bit_count()
                 if size < least:
                     best, least = (u, v), size
-        return None if best is None else (best, least)
+        self._least_union = None if best is None else (best, least)
+        return self._least_union
+
+    def twin_classes(self) -> tuple[int, ...]:
+        """The mask of each vertex's twin class. Computed on the first call and stored.
+
+        u and v are false twins when N(u) = N(v) and true twins when
+        N[u] = N[v]; each relation is an equivalence. An open neighbourhood
+        never equals a closed one (N(u) = N[v] would put v in N(u), so u in
+        N(v) and in N[v] = N(u)), so one dict keyed by both finds both. No
+        vertex has twins of both kinds: with N(u) = N(v) and N[u] = N[w], w is
+        in N(v), so v is in N[w] = N[u], and v would neighbour its false twin u.
+        A vertex without twins is a class of one.
+        """
+        if self._twins is not _UNSET:
+            return self._twins
+        masks = self._masks
+        groups: dict[int, int] = {}
+        for v, nbrs in enumerate(masks):
+            bit = 1 << v
+            groups[nbrs] = groups.get(nbrs, 0) | bit
+            groups[nbrs | bit] = groups.get(nbrs | bit, 0) | bit
+        self._twins = tuple(groups[nbrs] | groups[nbrs | 1 << v] for v, nbrs in enumerate(masks))
+        return self._twins
 
     def vertex_subset(self, vs: Iterable[int]) -> frozenset[int]:
         """Validate vs as a set of vertices of this graph."""

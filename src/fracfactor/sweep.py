@@ -69,8 +69,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.pairs:
             raise InputError("sweep config lists no (a, b) pairs")
-        for a, b in self.pairs:
-            FactorParams(a, b)
+        for pair in self.pairs:
+            if not isinstance(pair, tuple) or len(pair) != 2:
+                raise InputError(f"pair {pair!r} must be an (a, b) pair")
+            FactorParams(*pair)
         integers = [("random samples", self.random_samples), ("seed", self.seed)]
         integers += [("random order", x) for x in self.random_orders]
         if self.exhaustive_max_n is not None:
@@ -78,6 +80,10 @@ class SweepConfig:
         for name, value in integers:
             if type(value) is not int:  # a bool is refused too
                 raise InputError(f"{name} must be an integer, got {value!r}")
+        for p in self.random_probabilities:
+            # derive_seed hashes str(p), so a float would draw other graphs than its Fraction
+            if type(p) is not int and type(p) is not Fraction:  # a bool is refused too
+                raise InputError(f"probability must be an integer or a Fraction, got {p!r}")
         has_random = bool(self.random_orders)
         if has_random:
             if min(self.random_orders) < 1:

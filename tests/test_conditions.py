@@ -144,6 +144,11 @@ def test_deletion_invariants_refuse_out_of_range_vertices_first():
     report = check_criticality_conditions(g, P11)
     with pytest.raises(InputError, match=r"^vertex 6 out of range for 6 vertices$"):
         check_deletion_invariants(g, P11, {g.n}, report)
+    # a bool is not a vertex id, even where it equals one; ids are read before independence
+    with pytest.raises(InputError, match=r"^vertex True out of range for 6 vertices$"):
+        check_deletion_invariants(g, P11, {True}, report)
+    with pytest.raises(InputError, match=r"^vertex True out of range for 6 vertices$"):
+        check_deletion_invariants(g, P11, [2, True], report)  # 1 and 2 are adjacent
 
 
 def test_deletion_invariants_check_independence_before_the_report():

@@ -25,7 +25,7 @@ from fracfactor import (
     order_margin,
     random_graph,
 )
-from fracfactor.criticality import deletion_verdicts, proves_critical, twin_classes
+from fracfactor.criticality import deletion_verdicts, proves_critical
 from fracfactor.factor import double_cover
 from fracfactor.graphs import Graph
 from fracfactor.maxflow import feasible_flow
@@ -310,29 +310,29 @@ def labeled_graphs(max_n):
 
 
 def test_twin_classes_examples():
-    assert twin_classes(complete_multipartite_graph((2, 2, 2)).adjacency_masks()) == [
+    assert complete_multipartite_graph((2, 2, 2)).twin_classes() == (
         0b000011, 0b000011, 0b001100, 0b001100, 0b110000, 0b110000
-    ]
-    assert twin_classes(complete_graph(4).adjacency_masks()) == [0b1111] * 4
-    assert twin_classes(path_graph(3).adjacency_masks()) == [0b101, 0b010, 0b101]
-    assert twin_classes(SEVEN.adjacency_masks())[5:] == [0b1100000, 0b1100000]
+    )
+    assert complete_graph(4).twin_classes() == (0b1111,) * 4
+    assert path_graph(3).twin_classes() == (0b101, 0b010, 0b101)
+    assert SEVEN.twin_classes()[5:] == (0b1100000, 0b1100000)
 
 
 def test_twin_classes_match_the_neighbourhoods():
     # u joins v's class when N(u) = N(v) or N[u] = N[v], read off the oracle's sets
     for g in labeled_graphs(5):
         adj = adjacency(g.n, g.edges())
-        want = [
+        want = tuple(
             sum(1 << u for u in range(g.n) if adj[u] == adj[v] or adj[u] | {u} == adj[v] | {v})
             for v in range(g.n)
-        ]
-        assert twin_classes(g.adjacency_masks()) == want
+        )
+        assert g.twin_classes() == want
 
 
 def test_only_canonical_sets_are_decided():
     # each class is met in its lowest members; with no failure, every such set is decided
     for g in labeled_graphs(5):
-        classes = twin_classes(g.adjacency_masks())
+        classes = g.twin_classes()
         canonical = [
             ind
             for ind in enumerate_independent_sets(g)

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -138,6 +139,30 @@ def test_graph_equality_and_hash():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != path_graph(4)
+
+
+def test_stored_invariants_are_a_fresh_graphs_and_leave_equality_alone():
+    for n in range(5, 21):
+        for p in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
+            g = random_graph(n, p, n)
+            key = hash(g)
+            # twins first on g, the union pair first on the fresh copy
+            twins, union = g.twin_classes(), g.least_union_pair()
+            fresh = Graph(n, g.edges())
+            assert (fresh.least_union_pair(), fresh.twin_classes()) == (union, twins)
+            assert g.twin_classes() is twins and g.least_union_pair() is union
+            assert isinstance(twins, tuple)
+            assert g == Graph(n, g.edges()) and hash(g) == key == hash(Graph(n, g.edges()))
+            # the pair against the oracle's neighbour sets: least union, then lex-first
+            adj = adjacency(n, g.edges())
+            unions = [
+                (len(adj[x] | adj[y]), (x, y))
+                for x in range(n)
+                for y in range(x + 1, n)
+                if y not in adj[x]
+            ]
+            want = min(unions, default=None)
+            assert union == (None if want is None else (want[1], want[0]))
 
 
 # -- edge-list format ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from fracfactor import (
     constructions,
     conditions,
     degree_margin,
+    graphs,
     order_margin,
     parse_sweep_config,
     run_sweep,
@@ -136,6 +138,11 @@ def test_parse_rejects_non_integer_max_n():
         ({"random_orders": (6, 2.5)}, "random order must be an integer, got 2.5"),
         ({"random_samples": True}, "random samples must be an integer, got True"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"pairs": ((1, 1, 2),)}, "pair \\(1, 1, 2\\) must be an \\(a, b\\) pair"),
+        ({"pairs": ((1, 1), 2)}, "pair 2 must be an \\(a, b\\) pair"),
+        ({"random_probabilities": ("1/2",)}, "integer or a Fraction, got '1/2'"),
+        ({"random_probabilities": (0.5,)}, "integer or a Fraction, got 0.5"),
+        ({"random_probabilities": (True,)}, "integer or a Fraction, got True"),
     ],
 )
 def test_config_rejects_malformed_ensembles(changes, message):
@@ -350,6 +357,34 @@ def test_conditions_are_checked_once_per_graph_and_pair(monkeypatch):
     )
     assert len(calls) == candidates == 1 + 26
     assert [s.graphs_examined for s in result.summaries] == [1 + 2 + 8 + 64 + 1024] * 2
+
+
+def test_each_graph_computes_its_least_union_and_twin_classes_once(monkeypatch):
+    # CI's seeded random sweep; a call that finds its slot unset is the one that computes
+    computed = Counter()
+
+    def counted(method, slot):
+        def call(g):
+            computed[method.__name__] += getattr(g, slot) is graphs._UNSET
+            return method(g)
+
+        return call
+
+    monkeypatch.setattr(Graph, "least_union_pair", counted(Graph.least_union_pair, "_least_union"))
+    monkeypatch.setattr(Graph, "twin_classes", counted(Graph.twin_classes, "_twins"))
+    config = SweepConfig(
+        pairs=((1, 1), (1, 2), (2, 2)),
+        random_orders=(16, 20),
+        random_probabilities=(Fraction(3, 4), Fraction(9, 10)),
+        random_samples=25,
+        seed=7,
+    )
+    summaries = run_sweep(config).summaries
+    passing = [(s.graphs_examined, s.condition_passing) for s in summaries]
+    assert passing == [(100, 95), (100, 94), (100, 92)]
+    # one scan per drawn graph (the conditions and proves_critical share it), and one
+    # twin-class pass per checked graph (the deletion search and the count share it)
+    assert computed == {"least_union_pair": 300, "twin_classes": 95 + 94 + 92}
 
 
 @pytest.mark.parametrize("pair, max_n", [((1, 1), 6), ((1, 2), 5), ((2, 2), 5), ((1, 3), 5)])
