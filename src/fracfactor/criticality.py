@@ -7,8 +7,9 @@ leaves more vertices behind and can fail where larger deletions succeed, so
 the check below covers every independent set, smallest first. It decides
 one set per orbit under twin swaps, which give isomorphic deletions, and
 counts the sets apart from deciding them. Before any set is decided, a lemma
-on delta(G), alpha(G) and the least neighbourhood union may prove the whole
-check (proves_critical), and then only the count runs.
+on delta(G), alpha(G), the least neighbourhood union and the least degrees a
+deficient vertex set can have may prove the whole check (proves_critical),
+and then only the count runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .graphs import Graph, mask_vertices
 # level of enumerate_independent_sets, or proves_critical's question, which then abstains)
 # raises past as many expanded prefixes. proves_critical clears the conditions' boundary graphs
 # from order 100 to 300 in at most 10 ms, under a = b as well, so there the memo is the wall:
-# near order 170-180 for a < b and between 200 and 220 for a = b, after about 6-11 s.
+# near order 170-180 for a < b and between 200 and 220 for a = b, after about 6-11 s. Its pair
+# case, which keeps the deficient vertices' degrees, also clears graphs whose DFS ran to a
+# verdict, such as seeded G(100, 1/2) under (3,3): check-critical fell from 1.4 s to 0.2 s.
 CRITICALITY_BUDGET = 2**20
 
 
@@ -295,33 +298,38 @@ def proves_critical(g: Graph, params: FactorParams) -> bool:
     """Whether delta(G), alpha(G) and U, the least |N(x) | N(y)| of a nonadjacent pair, prove criticality.
 
     Lemma: G is critical when b(delta - alpha - a) >= a(a + 1) and, unless G
-    is complete, (a + b)(U - 2a) - a*n >= b*alpha. Proof: let I be
+    is complete, min C >= b*alpha, with C as in _pair_margin. Proof: let I be
     independent, k = |I| <= alpha and H = G - I, of order n - k. A vertex
     loses at most k neighbours, so delta(H) >= delta - alpha, and a pair
     nonadjacent in H is nonadjacent in G and loses at most k of its union.
     Suppose H has no fractional [a,b]-factor: by the deficiency test of
-    factor, some S has b|S| + d_{H-S}(T) - a|T| < 0, with T the vertices
-    outside S of degree at most a in H - S. T is not empty, or the sum is
-    b|S| >= 0, and the sum is at least b|S| - a|T|.
-    - If T is a clique, each x in T has its |T| - 1 fellows among at most a
-      neighbours in H - S, so |T| <= a + 1, and every other neighbour of x
-      in H lies in S, so |S| >= delta(H) - a >= delta - alpha - a. Then
-      b|S| - a|T| >= b(delta - alpha - a) - a(a + 1) >= 0.
-    - If T holds a nonadjacent pair x, y, then N_H(x) | N_H(y) lies in S
-      plus at most a neighbours of each in H - S, so |S| >= U - k - 2a, and
-      |T| <= n - k - |S|. Then b|S| - a|T| >= (a + b)|S| - a(n - k)
-      >= (a + b)(U - 2a) - a*n - b*k >= 0.
+    factor, some S has D = b|S| + d_{H-S}(T) - a|T| < 0, with T the vertices
+    outside S of degree at most a in H - S. Some vertex of T has degree
+    below a there, or D = b|S| >= 0, so T has a vertex x of least degree
+    h1 <= a - 1 in H - S.
+    - If T lies in x's closed neighbourhood in H - S, then |T| <= h1 + 1 <= a,
+      and every other neighbour of x in H lies in S, so
+      |S| >= delta(H) - a >= delta - alpha - a. Then
+      D >= b|S| - a|T| >= b(delta - alpha - a) - a(a + 1) >= 0.
+    - Otherwise let y be a vertex of T outside it of least degree h2 in
+      H - S, so h1 <= h2 <= a, and x, y are nonadjacent. N_H(x) | N_H(y)
+      lies in S plus h1 + h2 vertices of H - S, so |S| >= U - k - h1 - h2.
+      At most h1 + 1 vertices of T lie in x's closed neighbourhood, each of
+      degree at least h1, and the rest have degree at least h2, so
+      d_{H-S}(T) >= h2|T| - (h2 - h1)(h1 + 1). With |T| <= n - k - |S|
+      and a - h2 >= 0, D >= (a + b - h2)|S| - (a - h2)(n - k)
+      - (h2 - h1)(h1 + 1) >= C(h1, h2) - b*k >= min C - b*alpha >= 0.
     Both contradict the supposition, so G - I has a fractional [a,b]-factor.
     When G is complete, so is H, and only the first case arises.
 
     alpha enters only as a bound, so no alpha is computed: the two
     inequalities hold exactly when alpha <= k1 = delta - a - ceil(a(a+1)/b)
-    and alpha <= k2 = floor(((a + b)(U - 2a) - a*n) / b), and G is cleared
-    when it holds no independent set of min(k1, k2) + 1 vertices. The test
-    reads delta, stops if k1 < 0, then finds U over the nonadjacent pairs
-    and asks the one question: a walk of _sets_of_size that stops at the
-    first set it finds. False means no proof, not a failure, and so does a
-    walk past CRITICALITY_BUDGET prefixes.
+    and alpha <= k2 = floor(min C / b), and G is cleared when it holds no
+    independent set of min(k1, k2) + 1 vertices. The test reads delta, stops
+    if k1 < 0, then finds U over the nonadjacent pairs and asks the one
+    question: a walk of _sets_of_size that stops at the first set it finds.
+    False means no proof, not a failure, and so does a walk past
+    CRITICALITY_BUDGET prefixes.
     """
     n, a, b = g.n, params.a, params.b
     if not n:
@@ -331,11 +339,32 @@ def proves_critical(g: Graph, params: FactorParams) -> bool:
         return False
     worst = g.least_union_pair()
     if worst is not None:
-        k = min(k, ((a + b) * (worst[1] - 2 * a) - a * n) // b)  # k2
+        k = min(k, _pair_margin(n, a, b, worst[1]) // b)  # k2
     try:
         return k >= 0 and next(_sets_of_size(g.adjacency_masks(), k + 1), None) is None
     except ResourceLimitError:
         return False
+
+
+def _pair_margin(n: int, a: int, b: int, union: int) -> int:
+    """min C(h1, h2) over 0 <= h1 <= a - 1 and h1 <= h2 <= min(a, n), U being union.
+
+    C(h1, h2) = (a + b - h2)(U - h1 - h2) - (a - h2)n - (h2 - h1)(h1 + 1),
+    proves_critical's bound on D + b*k in its pair case. Expanded, C is
+    (a + b)U - a*n + h1^2 - (a + b - 1)h1 + h2^2 + (n - U - a - b - 1)h2,
+    and a step h1 -> h1 + 1 <= a - 1 changes the h1 terms by
+    2h1 + 2 - a - b < 0, as a <= b, so for each h2 the least C takes
+    h1 = min(h2, a - 1): one term per h2. No C is below the cruder
+    (a + b)(U - 2a) - a*n, which charges x and y a each and drops d(T):
+    C minus it is (a + b)(2a - h1 - h2) + h2(n - U + h1 + h2)
+    - (h2 - h1)(h1 + 1) >= 0, as 2a - h1 - h2 >= h2 - h1, h1 + 1 <= a + b
+    and U <= n.
+    """
+
+    def c(h1: int, h2: int) -> int:
+        return (a + b - h2) * (union - h1 - h2) - (a - h2) * n - (h2 - h1) * (h1 + 1)
+
+    return min(c(min(h2, a - 1), h2) for h2 in range(min(a, n) + 1))
 
 
 def first_failing_set(g: Graph, params: FactorParams) -> tuple[frozenset[int] | None, int]:

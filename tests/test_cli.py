@@ -228,7 +228,7 @@ def test_verify_theorem_refuses_orders_above_the_criticality_cap(tmp_path, capsy
     # This draw holds too many independent sets for proves_critical, so the DFS runs.
     config = tmp_path / "sweep.ini"
     config.write_text(
-        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 4/5\nsamples = 1\n"
+        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 3/5\nsamples = 1\n"
         "seed = 5\n"
     )
     assert main(["verify-theorem", str(config)]) == 0
@@ -272,7 +272,7 @@ def test_verify_theorem_removes_only_a_report_it_created_when_the_sweep_fails(
     report_path = tmp_path / "report.json"
     config = tmp_path / "sweep.ini"
     config.write_text(
-        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 4/5\nsamples = 1\n"
+        "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 3/5\nsamples = 1\n"
         f"seed = 5\n[output]\npath = {report_path}\n"
     )
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 3)

@@ -739,21 +739,26 @@ SIX_PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
 
 
 def test_proves_critical_clears_only_critical_graphs_on_every_small_graph():
-    # The oracle deletes every independent set of each graph cleared. Below order 7 only
-    # complete graphs are cleared: delta - alpha is too small elsewhere.
-    cleared = []
+    # The oracle deletes every independent set of each graph cleared. Below order 6 only
+    # complete graphs are cleared; at order 6, (1,2) and (1,3) also clear K6 less a
+    # nonempty matching (15 with one edge gone, 45 with two, 15 with three).
+    cleared = Counter()
     for g in labeled_graphs(6):
         edges = g.edges()
         for a, b in SIX_PAIRS:
             if g.n and proves_critical(g, FactorParams(a, b)):
-                cleared.append((g.n, len(edges), a, b))
+                cleared[g.n, len(edges), a, b] += 1
                 for ind in naive_independent_sets(g.n, edges):
                     assert naive_has_factor(*naive_deletion(g.n, edges, ind), a, b)
-    assert cleared == [
-        (4, 6, 1, 2), (4, 6, 1, 3),
-        (5, 10, 1, 1), (5, 10, 1, 2), (5, 10, 1, 3),
-        (6, 15, 1, 1), (6, 15, 1, 2), (6, 15, 1, 3), (6, 15, 2, 3),
-    ]
+    assert cleared == {
+        (4, 6, 1, 2): 1, (4, 6, 1, 3): 1,
+        (5, 10, 1, 1): 1, (5, 10, 1, 2): 1, (5, 10, 1, 3): 1,
+        (6, 12, 1, 2): 15, (6, 12, 1, 3): 15,
+        (6, 13, 1, 2): 45, (6, 13, 1, 3): 45,
+        (6, 14, 1, 2): 15, (6, 14, 1, 3): 15,
+        (6, 15, 1, 1): 1, (6, 15, 1, 2): 1, (6, 15, 1, 3): 1, (6, 15, 2, 3): 1,
+    }
+    assert sum(cleared.values()) == 159
 
 
 def lemma_cases():
@@ -773,7 +778,62 @@ def test_every_random_graph_proves_critical_clears_is_critical():
             cleared += 1
             for ind in enumerate_independent_sets(g):
                 assert has_fractional_factor(g.delete_vertices(ind)[0], params)
-    assert cleared == 293
+    assert cleared == 445
+
+
+def test_every_graph_the_cruder_pair_bound_clears_is_still_cleared():
+    # The pair case once charged x and y a neighbours each outside S and dropped d(T):
+    # k2 = floor(((a + b)(U - 2a) - a*n) / b). _pair_margin's docstring proves min C is never
+    # below that; here each instance it cleared is cleared still.
+    cruder = 0
+    for g, params in lemma_cases():
+        a, b, n = params.a, params.b, g.n
+        k = g.min_degree() - a + -a * (a + 1) // b
+        worst = g.least_union_pair()
+        if worst is not None:
+            crude = (a + b) * (worst[1] - 2 * a) - a * n
+            assert criticality._pair_margin(n, a, b, worst[1]) >= crude
+            k = min(k, crude // b)
+        if k >= 0 and next(criticality._sets_of_size(g.adjacency_masks(), k + 1), None) is None:
+            cruder += 1
+            assert proves_critical(g, params), (n, g.edges(), a, b)
+    assert cruder == 293
+
+
+def brute_pair_margin(n, a, b, union):
+    """min C(h1, h2) over every 0 <= h1 <= a - 1 and h1 <= h2 <= min(a, n)."""
+    return min(
+        (a + b - h2) * (union - h1 - h2) - (a - h2) * n - (h2 - h1) * (h1 + 1)
+        for h1 in range(a)
+        for h2 in range(h1, min(a, n) + 1)
+    )
+
+
+def test_pair_margin_is_the_least_c_over_every_degree_pair():
+    for n in range(1, 25):
+        for a in range(1, 8):
+            for b in range(a, 10):
+                for union in range(n + 1):
+                    want = brute_pair_margin(n, a, b, union)
+                    assert criticality._pair_margin(n, a, b, union) == want, (n, a, b, union)
+
+
+def test_the_pair_case_clears_a_graph_the_cruder_bound_cannot(monkeypatch):
+    g, params = random_graph(100, Fraction(1, 2), 3), FactorParams(3, 3)  # a CI contract row
+    adj = g.adjacency_masks()
+    assert (g.min_degree(), g.least_union_pair()[1]) == (38, 59)
+    # alpha is 9: the cruder k2 = floor((6 * 53 - 300) / 3) = 6 finds a set of 7, while
+    # k1 = 31 and k2 = floor(min C / 3) = 18 find no set of 19
+    assert next(criticality._sets_of_size(adj, 9), None)
+    assert next(criticality._sets_of_size(adj, 10), None) is None
+    assert criticality._pair_margin(100, 3, 3, 59) // 3 == 18
+    assert proves_critical(g, params)
+
+    def never_searched(*_):
+        raise AssertionError("deletion_verdicts ran")
+
+    monkeypatch.setattr(criticality, "deletion_verdicts", never_searched)
+    assert first_failing_set(g, params) == (None, 175455)
 
 
 def independence_number(adj, candidates):
@@ -786,8 +846,8 @@ def independence_number(adj, candidates):
 
 
 def test_proves_critical_is_the_lemma_with_alpha_computed():
-    # b(delta - alpha - a) >= a(a + 1) and, with a nonadjacent pair,
-    # (a + b)(U - 2a) - a*n >= b*alpha, with alpha and U read off the oracle's sets
+    # b(delta - alpha - a) >= a(a + 1) and, with a nonadjacent pair, min C >= b*alpha,
+    # with alpha and U read off the oracle's sets and C minimized over every (h1, h2)
     decided = Counter()
     for g, params in lemma_cases():
         a, b, n = params.a, params.b, g.n
@@ -796,11 +856,11 @@ def test_proves_critical_is_the_lemma_with_alpha_computed():
         delta = min(len(adj[v]) for v in range(n))
         unions = [len(adj[x] | adj[y]) for x, y in combinations(range(n), 2) if y not in adj[x]]
         want = b * (delta - alpha - a) >= a * (a + 1) and (
-            not unions or (a + b) * (min(unions) - 2 * a) - a * n >= b * alpha
+            not unions or brute_pair_margin(n, a, b, min(unions)) >= b * alpha
         )
         assert proves_critical(g, params) is want, (n, g.edges(), a, b)
         decided[want] += 1
-    assert decided == {True: 293, False: 787}
+    assert decided == {True: 445, False: 635}
 
 
 def test_proves_critical_clears_no_extremal_graph():
@@ -819,14 +879,14 @@ def test_proves_critical_clears_no_extremal_graph():
 
 
 def test_a_cleared_graph_decides_no_set_and_a_long_walk_abstains(monkeypatch):
-    g, params = random_graph(40, Fraction(3, 4), 1), FactorParams(3, 3)  # a CI contract row
+    g, params = random_graph(20, Fraction(2, 3), 1), FactorParams(2, 2)  # a CI contract row
 
     def never_searched(*_):
         raise AssertionError("deletion_verdicts ran")
 
     with monkeypatch.context() as patch:
         patch.setattr(criticality, "deletion_verdicts", never_searched)
-        assert first_failing_set(g, params) == (None, 458)
+        assert first_failing_set(g, params) == (None, 135)
     # The question walk needs more than one prefix here; past the budget it abstains.
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 1)
     assert not proves_critical(g, params)
@@ -843,17 +903,17 @@ def test_proves_critical_walks_once_and_only_past_delta(monkeypatch):
     monkeypatch.setattr(criticality, "_sets_of_size", counted)
     g = random_graph(120, Fraction(2, 5), 1)
     assert (g.min_degree(), g.least_union_pair()[1]) == (33, 57)  # alpha is 12
-    assert proves_critical(g, FactorParams(1, 2))  # k1 = 31, k2 = 22: no set of 23
-    assert walked == [23]
-    assert not proves_critical(g, FactorParams(2, 3))  # k1 = 29, k2 = 8: a set of 9
-    assert walked == [23, 9]
+    assert proves_critical(g, FactorParams(1, 2))  # k1 = 31, k2 = 25: no set of 26
+    assert walked == [26]
+    assert not proves_critical(g, FactorParams(3, 4))  # k1 = 27, k2 = 9: a set of 10
+    assert walked == [26, 10]
 
     def never_read(*_):
         raise AssertionError("least_union_pair ran")
 
     monkeypatch.setattr(Graph, "least_union_pair", never_read)
     assert not proves_critical(path_graph(3), P11)  # k1 = 1 - 1 - 2 < 0
-    assert walked == [23, 9]
+    assert walked == [26, 10]
 
 
 def test_report_serialization_shape():
