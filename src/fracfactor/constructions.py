@@ -20,9 +20,8 @@ import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .criticality import first_failing_set
 from .conditions import check_criticality_conditions
-from .errors import ConstructionError, InputError, ResourceLimitError
+from .errors import ConstructionError, InputError
 from .factor import FactorParams, delta_st, has_fractional_factor
 from .graphs import Graph, complete_multipartite_graph, require_order
 
@@ -212,7 +211,9 @@ class SharpnessReport:
     Required checks are identities that hold at every valid t; their failure
     raises ConstructionError since it can only mean a generator bug.
     Non-required checks record which of the three criticality conditions the
-    instance happens to satisfy at this particular t.
+    instance happens to satisfy at this particular t. criticality_skipped is
+    always False, since the not-critical check runs no search that a budget
+    could cut short; it stays only because bench/workloads.py still reads it.
     """
 
     kind: str
@@ -236,8 +237,8 @@ def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport
 
     Both families share the audit: the order formula, the family's own
     claims, infeasibility after deleting the btK1 part, the conditions the
-    instance happens to meet, and last the not-critical check. When that
-    check trips CRITICALITY_BUDGET, the report is marked criticality_skipped.
+    instance happens to meet, and last the not-critical check: btK1 is
+    independent in G and its deletion is infeasible, so no search is needed.
     """
     a, b = params.a, params.b
     if kind not in GENERATED_KINDS:
@@ -245,7 +246,8 @@ def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport
     g, labels = GENERATED_KINDS[kind](params, t)
     n = g.n
     cond = check_criticality_conditions(g, params)
-    sub, remap = g.delete_vertices(labels.part_map["btK1"])
+    btk1 = labels.part_map["btK1"]
+    sub, remap = g.delete_vertices(btk1)
     want_n = (a + 2 * b) * t + (1 if kind == KIND_NEIGHBORHOOD else 0)
     checks = [_check("order-formula", n == want_n, True, f"n = {n}")]
     if kind == KIND_NEIGHBORHOOD:
@@ -317,24 +319,19 @@ def verify_sharpness(kind: str, params: FactorParams, t: int) -> SharpnessReport
             _check("degree-condition", cond.min_degree_ok, False, f"margin {cond.min_degree_margin}")
         )
 
-    try:
-        failing, _ = first_failing_set(g, params)
-    except ResourceLimitError:
-        skipped = True
-    else:
-        skipped = False
-        checks.append(
-            _check("not-critical", failing is not None, True, f"failing set {sorted(failing or ())}")
-        )
+    # one independent I with G - I infeasible is what "not critical" means
+    btk1_mask = sum(1 << v for v in btk1)
+    independent = not any(g.adjacency_masks()[v] & btk1_mask for v in btk1)
+    detail = f"btK1 = vertices {min(btk1)}..{max(btk1)} is {'' if independent else 'not '}independent"
+    detail += f" and its deletion is {'in' if infeasible else ''}feasible"
+    checks.append(_check("not-critical", independent and infeasible, True, detail))
 
     failed = [c.name for c in checks if c.required and not c.passed]
     if failed:
         raise ConstructionError(
             f"{kind} (a={a}, b={b}, t={t}) failed required checks: {', '.join(failed)}"
         )
-    return SharpnessReport(
-        kind=kind, a=a, b=b, t=t, n=n, checks=tuple(checks), criticality_skipped=skipped
-    )
+    return SharpnessReport(kind=kind, a=a, b=b, t=t, n=n, checks=tuple(checks))
 
 
 def _check(name: str, passed: bool, required: bool, detail: str) -> SharpnessCheck:

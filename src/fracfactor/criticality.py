@@ -34,9 +34,7 @@ from .graphs import Graph, mask_vertices
 # level of enumerate_independent_sets, or proves_critical's question, which then abstains)
 # raises past as many expanded prefixes. proves_critical clears the conditions' boundary graphs
 # from order 100 to 300 in at most 10 ms, under a = b as well, so there the memo is the wall:
-# near order 170-180 for a < b and between 200 and 220 for a = b, after about 6-11 s. Its pair
-# case, which keeps the deficient vertices' degrees, also clears graphs whose DFS ran to a
-# verdict, such as seeded G(100, 1/2) under (3,3): check-critical fell from 1.4 s to 0.2 s.
+# near order 170-180 for a < b and between 200 and 220 for a = b, after about 6-11 s.
 CRITICALITY_BUDGET = 2**20
 
 

@@ -6,6 +6,8 @@ import pytest
 from fracfactor import (
     ConstructionError,
     FactorParams,
+    GENERATED_KINDS,
+    Graph,
     InputError,
     Infeasible,
     KIND_DEGREE,
@@ -16,6 +18,7 @@ from fracfactor import (
     delta_st,
     factor,
     find_fractional_factor,
+    first_failing_set,
     format_edge_list,
     is_fractional_id_factor_critical,
     min_degree_extremal_graph,
@@ -239,7 +242,7 @@ def test_verify_sharpness_passes_on_grid():
 
 
 def test_verify_sharpness_runs_no_subset_scan(monkeypatch):
-    # its checks read verdicts and failing sets, never a certificate
+    # its checks read flow verdicts, never a certificate
     def scan(*args):
         raise AssertionError("verify_sharpness ran the subset scan")
 
@@ -251,16 +254,26 @@ def test_verify_sharpness_runs_no_subset_scan(monkeypatch):
             assert "not-critical" in {c.name for c in report.checks}
 
 
-def test_verify_sharpness_skips_criticality_above_cap(monkeypatch):
-    # order 25 is checked in full; only a tripped budget skips the check
-    report = verify_sharpness(KIND_NEIGHBORHOOD, FactorParams(2, 3), 3)
-    assert (report.n, report.criticality_skipped) == (25, False)
-    assert report.checks[-1].detail == "failing set [6, 7, 8, 9, 10, 11, 12, 13, 14]"
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 5)
-    report = verify_sharpness(KIND_NEIGHBORHOOD, FactorParams(2, 3), 3)
-    assert report.criticality_skipped
-    assert "not-critical" not in {c.name for c in report.checks}
-    assert report.required_ok
+@pytest.mark.parametrize("kind, a, b, t", [(KIND_DEGREE, 3, 3, 20), (KIND_NEIGHBORHOOD, 1, 1, 333)])
+def test_verify_sharpness_proves_not_critical_without_a_search(monkeypatch, kind, a, b, t):
+    # orders 180 and 1000: a deletion search would trip even the default budget
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 1)
+    report = verify_sharpness(kind, FactorParams(a, b), t)
+    assert report.checks[-1].name == "not-critical"
+    assert report.checks[-1].passed
+    assert not report.criticality_skipped
+
+
+def test_verify_sharpness_fails_not_critical_when_btk1_has_an_edge(monkeypatch):
+    def with_btk1_edge(params, t):
+        g, labels = neighborhood_extremal_graph(params, t)
+        lo = min(labels.part_map["btK1"])
+        return Graph(g.n, [*g.edges(), (lo, lo + 1)]), labels
+
+    monkeypatch.setitem(GENERATED_KINDS, KIND_NEIGHBORHOOD, with_btk1_edge)
+    with pytest.raises(ConstructionError) as excinfo:
+        verify_sharpness(KIND_NEIGHBORHOOD, FactorParams(1, 1), 2)
+    assert str(excinfo.value).endswith("failed required checks: not-critical")
 
 
 NEIGHBORHOOD_CHECKS = [
@@ -284,28 +297,28 @@ DEGREE_CHECKS = [
     ("not-critical", True),
 ]
 CHECK_ORDER_CASES = (
-    [(KIND_NEIGHBORHOOD, a, b, t, NEIGHBORHOOD_CHECKS, False) for a, b, t in NEIGHBORHOOD_GRID]
-    + [(KIND_DEGREE, a, b, t, DEGREE_CHECKS, False) for a, b, t in DEGREE_GRID]
+    [(KIND_NEIGHBORHOOD, a, b, t, NEIGHBORHOOD_CHECKS) for a, b, t in NEIGHBORHOOD_GRID]
+    + [(KIND_DEGREE, a, b, t, DEGREE_CHECKS) for a, b, t in DEGREE_GRID]
     # order 25, past the old order-20 cap: checked like the rest
-    + [(KIND_NEIGHBORHOOD, 2, 3, 3, NEIGHBORHOOD_CHECKS, False)]
+    + [(KIND_NEIGHBORHOOD, 2, 3, 3, NEIGHBORHOOD_CHECKS)]
 )
 
 
 @pytest.mark.parametrize(
-    "kind, a, b, t, expected, skipped",
+    "kind, a, b, t, expected",
     CHECK_ORDER_CASES,
-    ids=[f"{kind}-{a}-{b}-{t}" for kind, a, b, t, _, _ in CHECK_ORDER_CASES],
+    ids=[f"{kind}-{a}-{b}-{t}" for kind, a, b, t, _ in CHECK_ORDER_CASES],
 )
-def test_verify_sharpness_check_order(kind, a, b, t, expected, skipped):
+def test_verify_sharpness_check_order(kind, a, b, t, expected):
     report = verify_sharpness(kind, FactorParams(a, b), t)
     assert [(c.name, c.required) for c in report.checks] == expected
-    assert report.criticality_skipped is skipped
 
 
 @pytest.mark.parametrize("kind, a, b, t", [(KIND_NEIGHBORHOOD, 1, 2, 1), (KIND_DEGREE, 2, 2, 1)])
 def test_verify_sharpness_raises_on_failed_required_check(monkeypatch, kind, a, b, t):
     monkeypatch.setattr(constructions, "has_fractional_factor", lambda g, params: True)
-    message = f"{kind} (a={a}, b={b}, t={t}) failed required checks: designated-deletion-infeasible"
+    failed = "designated-deletion-infeasible, not-critical"
+    message = f"{kind} (a={a}, b={b}, t={t}) failed required checks: {failed}"
     with pytest.raises(ConstructionError) as excinfo:
         verify_sharpness(kind, FactorParams(a, b), t)
     assert str(excinfo.value) == message
@@ -340,3 +353,16 @@ def test_not_critical_with_designated_witness():
             # enumeration hits the lower-indexed one first
             expected = "btK1" if a < b else "atK1"
             assert report.failing_set == labels.part_map[expected]
+    # the search agrees with verify_sharpness's not-critical check on every
+    # extremal instance of order at most 20 that the critical benchmark audits
+    for kind, build, pairs in (
+        (KIND_NEIGHBORHOOD, neighborhood_extremal_graph,
+         {(1, 1): (1, 2, 3, 4, 5, 6), (1, 2): (1, 2, 3), (2, 2): (1, 2, 3)}),
+        (KIND_DEGREE, min_degree_extremal_graph, {(1, 1): (2, 4, 6), (1, 2): (2, 3, 4), (2, 2): (1, 2, 3)}),
+    ):
+        for (a, b), ts in pairs.items():
+            for t in ts:
+                params = FactorParams(a, b)
+                g, _ = build(params, t)
+                assert g.n <= 20
+                assert first_failing_set(g, params)[0] is not None, (kind, a, b, t)
