@@ -112,10 +112,6 @@ def _read_text(path: str) -> str:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_graph(path: str):
-    return parse_edge_list(_read_text(path))
-
-
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -132,7 +128,7 @@ def _certificate_line(cert: dict | None) -> str:
 
 
 def _cmd_check_factor(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
+    g = parse_edge_list(_read_text(args.graph))
     params = FactorParams(args.a, args.b)
     result = find_fractional_factor(g, params)
     feasible = isinstance(result, FractionalAssignment)
@@ -164,7 +160,7 @@ def _cmd_check_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_critical(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
+    g = parse_edge_list(_read_text(args.graph))
     params = FactorParams(args.a, args.b)
     report = is_fractional_id_factor_critical(g, params)
     payload = {"command": "check-critical", "a": params.a, "b": params.b}
@@ -183,7 +179,7 @@ def _cmd_check_critical(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_hypotheses(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
+    g = parse_edge_list(_read_text(args.graph))
     params = FactorParams(args.a, args.b)
     report = check_criticality_conditions(g, params)
     payload = {"command": "check-hypotheses"}

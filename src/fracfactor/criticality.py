@@ -6,10 +6,9 @@ only maximal independent sets would be unsound: deleting a smaller set
 leaves more vertices behind and can fail where larger deletions succeed, so
 the check below covers every independent set, smallest first. It decides
 one set per orbit under twin swaps, which give isomorphic deletions, and
-counts the sets apart from deciding them. Before any set is decided, a lemma
-on delta(G), alpha(G), the least neighbourhood union and the least degrees a
-deficient vertex set can have may prove the whole check (proves_critical),
-and then only the count runs.
+counts the sets apart from deciding them. Before any set is decided,
+proves_critical may prove the whole check, as it does on every graph that
+meets the paper's three conditions, and then only the count runs.
 """
 
 from __future__ import annotations
@@ -295,20 +294,19 @@ def deletion_verdicts(g: Graph, params: FactorParams) -> Iterator[tuple[int, boo
 def proves_critical(g: Graph, params: FactorParams) -> bool:
     """Whether delta(G), alpha(G) and U, the least |N(x) | N(y)| of a nonadjacent pair, prove criticality.
 
-    Lemma: G is critical when b(delta - alpha - a) >= a(a + 1) and, unless G
-    is complete, min C >= b*alpha, with C as in _pair_margin. Proof: let I be
-    independent, k = |I| <= alpha and H = G - I, of order n - k. A vertex
-    loses at most k neighbours, so delta(H) >= delta - alpha, and a pair
-    nonadjacent in H is nonadjacent in G and loses at most k of its union.
-    Suppose H has no fractional [a,b]-factor: by the deficiency test of
-    factor, some S has D = b|S| + d_{H-S}(T) - a|T| < 0, with T the vertices
-    outside S of degree at most a in H - S. Some vertex of T has degree
-    below a there, or D = b|S| >= 0, so T has a vertex x of least degree
-    h1 <= a - 1 in H - S.
-    - If T lies in x's closed neighbourhood in H - S, then |T| <= h1 + 1 <= a,
-      and every other neighbour of x in H lies in S, so
-      |S| >= delta(H) - a >= delta - alpha - a. Then
-      D >= b|S| - a|T| >= b(delta - alpha - a) - a(a + 1) >= 0.
+    Lemma: G is critical when alpha <= k1 = delta - a and, unless G is
+    complete, alpha <= k2 = floor(min C / b), with C as in _pair_margin.
+    Proof: let I be independent, k = |I| <= alpha and H = G - I. A vertex
+    loses at most k neighbours, and a pair nonadjacent in H is nonadjacent
+    in G and loses at most k of its union. Suppose H has no fractional
+    [a,b]-factor: by the deficiency test of factor, some S has
+    D = b|S| + d_{H-S}(T) - a|T| < 0, with T the vertices outside S of degree
+    at most a in H - S. Some vertex of T has degree below a there, or
+    D = b|S| >= 0, so T has a vertex x of least degree h1 <= a - 1 in H - S.
+    - If T lies in x's closed neighbourhood in H - S, then |T| <= h1 + 1,
+      d_{H-S}(T) >= h1|T|, and every other neighbour of x in H lies in S, so
+      |S| >= delta - k - h1. As k <= k1 and h1 <= a - 1 <= b - 1,
+      D >= b(delta - k - h1) - (a - h1)(h1 + 1) >= (a - h1)(b - h1 - 1) >= 0.
     - Otherwise let y be a vertex of T outside it of least degree h2 in
       H - S, so h1 <= h2 <= a, and x, y are nonadjacent. N_H(x) | N_H(y)
       lies in S plus h1 + h2 vertices of H - S, so |S| >= U - k - h1 - h2.
@@ -316,23 +314,34 @@ def proves_critical(g: Graph, params: FactorParams) -> bool:
       degree at least h1, and the rest have degree at least h2, so
       d_{H-S}(T) >= h2|T| - (h2 - h1)(h1 + 1). With |T| <= n - k - |S|
       and a - h2 >= 0, D >= (a + b - h2)|S| - (a - h2)(n - k)
-      - (h2 - h1)(h1 + 1) >= C(h1, h2) - b*k >= min C - b*alpha >= 0.
-    Both contradict the supposition, so G - I has a fractional [a,b]-factor.
-    When G is complete, so is H, and only the first case arises.
+      - (h2 - h1)(h1 + 1) >= C(h1, h2) - b*k >= 0, as k <= k2.
+    Both contradict the supposition; a complete H has only the first case.
+    So no alpha is computed: G is cleared when it holds no independent set
+    of min(k1, k2) + 1 vertices. The test reads delta, stops if k1 < 0,
+    finds U and asks that of one walk of _sets_of_size, stopped at the first
+    set. False means no proof, and so does a walk past CRITICALITY_BUDGET.
 
-    alpha enters only as a bound, so no alpha is computed: the two
-    inequalities hold exactly when alpha <= k1 = delta - a - ceil(a(a+1)/b)
-    and alpha <= k2 = floor(min C / b), and G is cleared when it holds no
-    independent set of min(k1, k2) + 1 vertices. The test reads delta, stops
-    if k1 < 0, then finds U over the nonadjacent pairs and asks the one
-    question: a walk of _sets_of_size that stops at the first set it finds.
-    False means no proof, not a failure, and so does a walk past
-    CRITICALITY_BUDGET prefixes.
+    Corollary, the paper's theorem: a G that meets the three conditions of
+    conditions is critical, and cleared here unless the walk passes the
+    budget. Put q = bn/(a + 2b) and m = n - U. The degree condition reads
+    k1 >= q > 0, so a complete G, with alpha = 1, is cleared. Otherwise two
+    members of a largest independent set have their union outside it, so
+    alpha <= m <= q by the neighbourhood condition. It remains that
+    min C >= b*m. Per h2 the least C has h1 = min(h2, a - 1) (_pair_margin):
+    - C(0, 0) - b*m = (a + 2b)U - (a + b)n, the neighbourhood margin.
+    - For 1 <= h <= a - 1, C(h, h) - b*m = bn - (a + 2b - h)m - 2h(a + b - h).
+      If m >= 2(a + b - h), bn >= (a + 2b)m makes it at least
+      h(m - 2(a + b - h)) >= 0; otherwise the order condition,
+      bn >= (a + 2b)(2a + 2b - 3) + 1, makes it at least (h - 1)(2a + 4b - 1).
+    - C(a - 1, a) - b*m = bn - 2bm - 2ab + b - a >= aq - 2ab + b - a, and
+      q > 2a + 2b - 3 by the order condition: for a >= 2 it exceeds
+      2a(a - 2) + b > 0. For a = 1 it is b(n - 2m - 1) - 1, and n >= 4b
+      gives n - 2m >= n/(1 + 2b) > 1, so n - 2m >= 2 and it is >= b - 1.
     """
     n, a, b = g.n, params.a, params.b
     if not n:
         return False
-    k = g.min_degree() - a + -a * (a + 1) // b  # k1: the floor of -a(a+1)/b is -ceil(a(a+1)/b)
+    k = g.min_degree() - a  # k1
     if k < 0:
         return False
     worst = g.least_union_pair()
@@ -352,11 +361,7 @@ def _pair_margin(n: int, a: int, b: int, union: int) -> int:
     (a + b)U - a*n + h1^2 - (a + b - 1)h1 + h2^2 + (n - U - a - b - 1)h2,
     and a step h1 -> h1 + 1 <= a - 1 changes the h1 terms by
     2h1 + 2 - a - b < 0, as a <= b, so for each h2 the least C takes
-    h1 = min(h2, a - 1): one term per h2. No C is below the cruder
-    (a + b)(U - 2a) - a*n, which charges x and y a each and drops d(T):
-    C minus it is (a + b)(2a - h1 - h2) + h2(n - U + h1 + h2)
-    - (h2 - h1)(h1 + 1) >= 0, as 2a - h1 - h2 >= h2 - h1, h1 + 1 <= a + b
-    and U <= n.
+    h1 = min(h2, a - 1): one term per h2.
     """
 
     def c(h1: int, h2: int) -> int:

@@ -359,7 +359,7 @@ def has_fractional_factor(g: Graph, params: FactorParams) -> bool:
     """Decide existence by saturating a b-matching, a searches per vertex."""
     n = g.n
     restore = augmenting_search(g.adjacency_masks(), params.b)
-    rounds = (v for _ in range(params.a) for v in range(n))  # lazy: a may be huge
+    rounds = (v for _ in range(min(params.a, n)) for v in range(n))  # n rounds decide as any a >= n (deletion_verdicts)
     return restore(rounds, [0] * n, [0] * n, 0, (1 << n) - 1) >= 0
 
 

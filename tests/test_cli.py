@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fracfactor import (
+    complete_multipartite_graph,
     constructions,
     criticality,
     format_edge_list,
@@ -34,6 +38,22 @@ def test_check_factor_feasible_text(graph_file, capsys):
     assert main(["check-factor", path, "-a", "1", "-b", "1"]) == 0
     out = capsys.readouterr().out
     assert "feasible: yes" in out
+
+
+def test_check_factor_decides_the_empty_graph_at_any_a(tmp_path):
+    # The empty graph has the empty factor at any a, and the search takes min(a, n) = 0
+    # rounds. A subprocess, so that a hang fails the test instead of stalling the suite.
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    big = str(10**12)
+    done = subprocess.run(
+        [sys.executable, "-m", "fracfactor.cli", "check-factor", str(path), "-a", big, "-b", big],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (done.returncode, done.stdout.splitlines()[-1]) == (0, "feasible: yes")
 
 
 def test_check_factor_witness_json(graph_file, capsys):
@@ -125,17 +145,18 @@ def test_check_critical_json_payload(graph_file, capsys):
 
 
 def test_check_critical_cap_exit_code(graph_file, capsys, monkeypatch):
-    # K21 is one twin class: the DFS decides the empty set and {0}, standing for 22 sets.
-    # Under (10,10) its degree 20 is too low for proves_critical, so the DFS runs.
-    path = graph_file("k21.txt", complete_graph(21))
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 2)
-    assert main(["check-critical", path, "-a", "10", "-b", "10"]) == 0
-    assert "independent sets checked: 22" in capsys.readouterr().out
-    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 1)
-    assert main(["check-critical", path, "-a", "10", "-b", "10"]) == 3
+    # K5 less the edge 34 has twin classes {0, 1, 2} and {3, 4}: the DFS decides the empty
+    # set, {0}, {3} and {3, 4}, standing for 7 sets. Under (2,2) alpha = 2 exceeds
+    # k1 = delta - a = 1, so proves_critical abstains and the DFS runs.
+    path = graph_file("k5-less-an-edge.txt", complete_multipartite_graph([1, 1, 1, 2]))
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 4)
+    assert main(["check-critical", path, "-a", "2", "-b", "2"]) == 0
+    assert "independent sets checked: 7" in capsys.readouterr().out
+    monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 3)
+    assert main(["check-critical", path, "-a", "2", "-b", "2"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: criticality check on 21 vertices: over 1 restore calls\n"
+    assert captured.err == "error: criticality check on 5 vertices: over 3 restore calls\n"
 
 
 def test_check_critical_reports_a_failure_above_the_scan_cap_without_a_certificate(
@@ -224,8 +245,8 @@ def test_verify_theorem_refuses_a_random_ensemble_above_the_cap(tmp_path, capsys
 
 
 def test_verify_theorem_refuses_orders_above_the_criticality_cap(tmp_path, capsys, monkeypatch):
-    # Order 21 is swept; a check that makes more restore calls than the budget exits 3.
-    # This draw holds too many independent sets for proves_critical, so the DFS runs.
+    # Order 21 is swept; a check that counts more masks than the budget exits 3. The draw
+    # passes the conditions, so proves_critical clears it and only the count runs.
     config = tmp_path / "sweep.ini"
     config.write_text(
         "[params]\npairs = 1,1\n[random]\norders = 21\nprobabilities = 3/5\nsamples = 1\n"
@@ -235,7 +256,7 @@ def test_verify_theorem_refuses_orders_above_the_criticality_cap(tmp_path, capsy
     assert "(a=1, b=1): 1 graphs, 1 pass the conditions, 1 confirmed critical" in capsys.readouterr().out
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 3)
     assert main(["verify-theorem", str(config)]) == 3
-    assert "criticality check on 21 vertices: over 3 restore calls" in capsys.readouterr().err
+    assert "criticality check on 21 vertices: over 3 masks counted" in capsys.readouterr().err
 
     # An order above MAX_ORDER is refused before any graph is examined.
     def never_run(config):
@@ -268,7 +289,7 @@ def test_verify_theorem_refuses_an_unwritable_output_path_before_sweeping(
 def test_verify_theorem_removes_only_a_report_it_created_when_the_sweep_fails(
     tmp_path, capsys, monkeypatch
 ):
-    # The order-21 draw above, with a budget its check overruns: the sweep exits 3.
+    # The order-21 draw above, with a budget its count overruns: the sweep exits 3.
     report_path = tmp_path / "report.json"
     config = tmp_path / "sweep.ini"
     config.write_text(
@@ -277,7 +298,7 @@ def test_verify_theorem_removes_only_a_report_it_created_when_the_sweep_fails(
     )
     monkeypatch.setattr(criticality, "CRITICALITY_BUDGET", 3)
     assert main(["verify-theorem", str(config)]) == 3
-    assert "over 3 restore calls" in capsys.readouterr().err
+    assert "over 3 masks counted" in capsys.readouterr().err
     assert not report_path.exists()
     # A report that was there before the run is left as it was.
     report_path.write_text("an earlier report\n")

@@ -14,6 +14,7 @@ from fracfactor import (
     check_criticality_conditions,
     complete_multipartite_graph,
     criticality,
+    degree_margin,
     enumerate_independent_sets,
     first_failing_set,
     has_fractional_factor,
@@ -22,6 +23,7 @@ from fracfactor import (
     maximal_independent_sets,
     min_degree_extremal_graph,
     neighborhood_extremal_graph,
+    neighborhood_margin,
     order_margin,
     random_graph,
 )
@@ -740,8 +742,8 @@ SIX_PAIRS = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3)]
 
 def test_proves_critical_clears_only_critical_graphs_on_every_small_graph():
     # The oracle deletes every independent set of each graph cleared. Below order 6 only
-    # complete graphs are cleared; at order 6, (1,2) and (1,3) also clear K6 less a
-    # nonempty matching (15 with one edge gone, 45 with two, 15 with three).
+    # complete graphs are cleared, K_n when a <= n - 2; at order 6, every a = 1 pair also
+    # clears the same noncomplete graphs with 9 to 14 edges.
     cleared = Counter()
     for g in labeled_graphs(6):
         edges = g.edges()
@@ -750,15 +752,11 @@ def test_proves_critical_clears_only_critical_graphs_on_every_small_graph():
                 cleared[g.n, len(edges), a, b] += 1
                 for ind in naive_independent_sets(g.n, edges):
                     assert naive_has_factor(*naive_deletion(g.n, edges, ind), a, b)
-    assert cleared == {
-        (4, 6, 1, 2): 1, (4, 6, 1, 3): 1,
-        (5, 10, 1, 1): 1, (5, 10, 1, 2): 1, (5, 10, 1, 3): 1,
-        (6, 12, 1, 2): 15, (6, 12, 1, 3): 15,
-        (6, 13, 1, 2): 45, (6, 13, 1, 3): 45,
-        (6, 14, 1, 2): 15, (6, 14, 1, 3): 15,
-        (6, 15, 1, 1): 1, (6, 15, 1, 2): 1, (6, 15, 1, 3): 1, (6, 15, 2, 3): 1,
-    }
-    assert sum(cleared.values()) == 159
+    by_edges = {9: 60, 10: 477, 11: 675, 12: 375, 13: 105, 14: 15}
+    want = {(6, m, 1, b): count for m, count in by_edges.items() for b in (1, 2, 3)}
+    want |= {(n, n * (n - 1) // 2, a, b): 1 for n in range(3, 7) for a, b in SIX_PAIRS if a <= n - 2}
+    assert cleared == want
+    assert sum(cleared.values()) == 5141
 
 
 def lemma_cases():
@@ -778,17 +776,17 @@ def test_every_random_graph_proves_critical_clears_is_critical():
             cleared += 1
             for ind in enumerate_independent_sets(g):
                 assert has_fractional_factor(g.delete_vertices(ind)[0], params)
-    assert cleared == 445
+    assert cleared == 574
 
 
 def test_every_graph_the_cruder_pair_bound_clears_is_still_cleared():
     # The pair case once charged x and y a neighbours each outside S and dropped d(T):
-    # k2 = floor(((a + b)(U - 2a) - a*n) / b). _pair_margin's docstring proves min C is never
-    # below that; here each instance it cleared is cleared still.
+    # k2 = floor(((a + b)(U - 2a) - a*n) / b). min C is never below that, and each
+    # instance it cleared, next to k1 = delta - a, is cleared still.
     cruder = 0
     for g, params in lemma_cases():
         a, b, n = params.a, params.b, g.n
-        k = g.min_degree() - a + -a * (a + 1) // b
+        k = g.min_degree() - a
         worst = g.least_union_pair()
         if worst is not None:
             crude = (a + b) * (worst[1] - 2 * a) - a * n
@@ -797,7 +795,7 @@ def test_every_graph_the_cruder_pair_bound_clears_is_still_cleared():
         if k >= 0 and next(criticality._sets_of_size(g.adjacency_masks(), k + 1), None) is None:
             cruder += 1
             assert proves_critical(g, params), (n, g.edges(), a, b)
-    assert cruder == 293
+    assert cruder == 305
 
 
 def brute_pair_margin(n, a, b, union):
@@ -816,6 +814,41 @@ def test_pair_margin_is_the_least_c_over_every_degree_pair():
                 for union in range(n + 1):
                     want = brute_pair_margin(n, a, b, union)
                     assert criticality._pair_margin(n, a, b, union) == want, (n, a, b, union)
+
+
+def test_k1_is_the_least_first_case_bound_over_the_degree_of_x():
+    # The first case allows alpha up to floor((b(delta - h1) - (a - h1)(h1 + 1)) / b) when x
+    # has degree h1; the least over h1, at h1 = a - 1, is delta - a.
+    for a in range(1, 8):
+        for b in range(a, 10):
+            for delta in range(40):
+                k = min((b * (delta - h1) - (a - h1) * (h1 + 1)) // b for h1 in range(a))
+                assert k == delta - a, (a, b, delta)
+
+
+def test_the_conditions_meet_both_cases_of_the_lemma():
+    # The corollary in proves_critical's docstring, on every (a, b, n, U) with a <= b <= 6,
+    # n from the least order n_min meeting the order condition to n_min + 100, and U <= n - 2
+    # meeting the neighbourhood condition: n - U <= floor(bn / (a + 2b)) <= delta - a for the
+    # least delta meeting the degree condition, and min C >= b(n - U).
+    points = 0
+    for a in range(1, 7):
+        for b in range(a, 7):
+            params = FactorParams(a, b)
+            n_min = next(n for n in range(1, 1000) if order_margin(n, params) >= 0)
+            for n in range(n_min, n_min + 101):
+                q = b * n // (a + 2 * b)
+                delta = a - (-b * n // (a + 2 * b))  # a + ceil(bn / (a + 2b))
+                assert degree_margin(n, delta, params) >= 0 > degree_margin(n, delta - 1, params)
+                assert q <= delta - a
+                for union in range(n - 1):
+                    if neighborhood_margin(n, union, params) >= 0:
+                        points += 1
+                        assert n - union <= q
+                        assert criticality._pair_margin(n, a, b, union) >= b * (n - union), (
+                            a, b, n, union
+                        )
+    assert points == 61432
 
 
 def test_the_pair_case_clears_a_graph_the_cruder_bound_cannot(monkeypatch):
@@ -846,7 +879,7 @@ def independence_number(adj, candidates):
 
 
 def test_proves_critical_is_the_lemma_with_alpha_computed():
-    # b(delta - alpha - a) >= a(a + 1) and, with a nonadjacent pair, min C >= b*alpha,
+    # alpha <= delta - a and, with a nonadjacent pair, min C >= b*alpha,
     # with alpha and U read off the oracle's sets and C minimized over every (h1, h2)
     decided = Counter()
     for g, params in lemma_cases():
@@ -855,12 +888,12 @@ def test_proves_critical_is_the_lemma_with_alpha_computed():
         alpha = independence_number(adj, set(range(n)))
         delta = min(len(adj[v]) for v in range(n))
         unions = [len(adj[x] | adj[y]) for x, y in combinations(range(n), 2) if y not in adj[x]]
-        want = b * (delta - alpha - a) >= a * (a + 1) and (
+        want = alpha <= delta - a and (
             not unions or brute_pair_margin(n, a, b, min(unions)) >= b * alpha
         )
         assert proves_critical(g, params) is want, (n, g.edges(), a, b)
         decided[want] += 1
-    assert decided == {True: 445, False: 635}
+    assert decided == {True: 574, False: 506}
 
 
 def test_proves_critical_clears_no_extremal_graph():
@@ -903,16 +936,16 @@ def test_proves_critical_walks_once_and_only_past_delta(monkeypatch):
     monkeypatch.setattr(criticality, "_sets_of_size", counted)
     g = random_graph(120, Fraction(2, 5), 1)
     assert (g.min_degree(), g.least_union_pair()[1]) == (33, 57)  # alpha is 12
-    assert proves_critical(g, FactorParams(1, 2))  # k1 = 31, k2 = 25: no set of 26
+    assert proves_critical(g, FactorParams(1, 2))  # k1 = 32, k2 = 25: no set of 26
     assert walked == [26]
-    assert not proves_critical(g, FactorParams(3, 4))  # k1 = 27, k2 = 9: a set of 10
+    assert not proves_critical(g, FactorParams(3, 4))  # k1 = 30, k2 = 9: a set of 10
     assert walked == [26, 10]
 
     def never_read(*_):
         raise AssertionError("least_union_pair ran")
 
     monkeypatch.setattr(Graph, "least_union_pair", never_read)
-    assert not proves_critical(path_graph(3), P11)  # k1 = 1 - 1 - 2 < 0
+    assert not proves_critical(path_graph(3), FactorParams(2, 2))  # k1 = 1 - 2 < 0
     assert walked == [26, 10]
 
 

@@ -29,9 +29,11 @@ from fracfactor.sweep import (
     RANDOM_INSTANCE_LIMIT,
     Counterexample,
     PairSummary,
+    _ensemble,
     _masks_with_min_degree,
     derive_seed,
 )
+from fracfactor.criticality import proves_critical
 
 
 CONFIG_TEXT = """
@@ -435,3 +437,34 @@ def test_derived_report_dicts_are_their_fields_plus_flags():
         assert set(d) == {f.name for f in dataclasses.fields(report)} | flags, type(report)
         assert all(d[flag] == getattr(report, flag) for flag in flags)
         assert json.loads(json.dumps(d)) == d, type(report)
+
+
+# CI's three verify-theorem configs, with the condition-passing graphs of each pair
+CI_SWEEPS = [
+    ("[params]\npairs = 1,1 1,2 2,2\n[exhaustive]\nmax_n = 7\n", {(1, 1): 16141, (1, 2): 0, (2, 2): 0}),
+    (
+        "[params]\npairs = 1,1 1,2 2,2\n[random]\norders = 16 20\nprobabilities = 3/4 9/10\n"
+        "samples = 25\nseed = 7\n",
+        {(1, 1): 95, (1, 2): 94, (2, 2): 92},
+    ),
+    (
+        "[params]\npairs = 2,3 3,3\n[random]\norders = 20 24 28 32 36 40\n"
+        "probabilities = 3/4 9/10\nsamples = 25\nseed = 17\n",
+        {(2, 3): 294, (3, 3): 198},
+    ),
+]
+
+
+@pytest.mark.parametrize("text, passing", CI_SWEEPS, ids=["exhaustive", "random", "region"])
+def test_proves_critical_clears_every_condition_passing_graph_of_the_ci_sweeps(text, passing):
+    # The corollary in proves_critical's docstring: the paper's three conditions leave the
+    # deletion search nothing to decide.
+    config = parse_sweep_config(text)
+    got = dict.fromkeys(config.pairs, 0)
+    for a, b in config.pairs:
+        params = FactorParams(a, b)
+        for source, g in _ensemble(config, params):
+            if check_criticality_conditions(g, params).all_ok:
+                got[a, b] += 1
+                assert proves_critical(g, params), (source, a, b)
+    assert got == passing
