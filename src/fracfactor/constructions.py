@@ -126,17 +126,16 @@ def min_degree_extremal_graph(
     n = u + 1
     require_order(n)
 
-    edges: list[tuple[int, int]] = []
-    blocks = (block1, block2, block3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            edges += [(x, y) for x in blocks[i] for y in blocks[j]]
-    edges += [(block3[i], block3[i + 1]) for i in range(0, bt, 2)]
-    edges += [(x, u) for x in block1]
-    xs = [block2[i] for i in range(a - 1)]
-    edges += [(x, u) for x in xs]
+    # the blocks are fully joined, block3 pairs slots 2j and 2j+1, and u
+    # sees all of block1 and the first a-1 vertices xs of block2
+    xs = block2[: a - 1]
+    b1, b2, b3, bx = ((1 << r.stop) - (1 << r.start) for r in (block1, block2, block3, xs))
+    masks = [b2 | b3 | 1 << u] * bt
+    masks += [b1 | b3 | (1 << u if x in xs else 0) for x in block2]
+    masks += [b1 | b2 | 1 << block3[i ^ 1] for i in range(bt)]
+    masks.append(b1 | bx)
 
-    g = Graph(n, edges)
+    g = Graph._from_masks(n, masks)
     labels = ConstructionLabels(
         n=n,
         part_map={
@@ -172,14 +171,17 @@ def random_graph(n: int, p: Fraction | float, seed: int) -> Graph:
     # when k < ceil(p * 2^53), that is when random() < ceil(p * 2^53) / 2^53,
     # a float the division leaves exact: the same graph, with no Fraction per pair.
     cut = math.ceil(p * 2**53) / 2**53
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < cut
-    ]
-    return Graph(n, edges)
+    draw = random.Random(seed).random
+    masks = [0] * n
+    for u in range(n):
+        bit = 1 << u
+        row = 0  # u's neighbours above u
+        for v in range(u + 1, n):
+            if draw() < cut:
+                row |= 1 << v
+                masks[v] |= bit
+        masks[u] |= row
+    return Graph._from_masks(n, masks)
 
 
 def parse_probability(token: str) -> Fraction:

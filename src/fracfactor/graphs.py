@@ -5,14 +5,17 @@ construction, so instances are safe to share. A graph computes two
 invariants, its least-union pair and its twin classes, on first use and
 keeps them, because several checks read each; the kept values are
 immutable, and equality and hashing read only the order and the masks.
-Construction validates its edges: loops, duplicates and out-of-range
-endpoints are hard errors, never silently repaired.
+Edges a caller passes to Graph(n, edges) are validated: loops, duplicates,
+out-of-range and non-int endpoints are hard errors, never silently
+repaired. Graphs the library builds itself (generators, deletions, the
+sweep's ensemble, parsed files once their rows pass) get their masks from
+Graph._from_masks, whose call to __init__ keeps the MAX_ORDER cap.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .errors import InputError, ResourceLimitError
 
@@ -43,6 +46,8 @@ class Graph:
         try:
             for edge in edges:
                 u, v = edge
+                if type(u) is not int or type(v) is not int:  # a bool is refused too
+                    raise TypeError  # reported as malformed below
                 if not (0 <= u < n and 0 <= v < n):
                     raise InputError(f"edge ({u}, {v}) out of range for {n} vertices")
                 if u == v:
@@ -58,6 +63,13 @@ class Graph:
         self.n = n
         self._masks: tuple[int, ...] = tuple(masks)
         self._least_union = self._twins = _UNSET  # filled by least_union_pair and twin_classes
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: Iterable[int]) -> Graph:
+        """The graph on symmetric, loop-free masks the library built; only the order is checked."""
+        g = cls(n)
+        g._masks = tuple(masks)
+        return g
 
     # -- basic queries ----------------------------------------------------
 
@@ -152,12 +164,15 @@ class Graph:
         dropped = self.vertex_subset(drop)
         kept = [v for v in range(self.n) if v not in dropped]
         remap = {old: new for new, old in enumerate(kept)}
-        edges = [
-            (remap[u], remap[v])
-            for u, v in self.edges()
-            if u not in dropped and v not in dropped
-        ]
-        return Graph(len(kept), edges), remap
+        runs = []  # (bits, dropped ids below) of each maximal run lo..d-1 of kept ids
+        lo = 0
+        for below, d in enumerate([*sorted(dropped), self.n]):
+            if lo < d:
+                runs.append(((1 << d) - (1 << lo), below))
+            lo = d + 1
+        old = self._masks
+        masks = [sum((old[v] & bits) >> below for bits, below in runs) for v in kept]
+        return Graph._from_masks(len(kept), masks), remap
 
     # -- dunder ------------------------------------------------------------
 
@@ -192,17 +207,16 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
 
 def complete_multipartite_graph(sizes: Sequence[int]) -> Graph:
     """Complete multipartite graph; parts occupy consecutive index blocks."""
-    if any(s < 0 for s in sizes):
-        raise InputError("part sizes must be nonnegative")
+    for size in sizes:
+        if type(size) is not int or size < 0:  # a bool is refused too
+            raise InputError(f"part sizes must be nonnegative integers, got {size!r}")
     bounds = [0, *accumulate(sizes)]
-    require_order(bounds[-1])
-    edges = [
-        (u, v)
-        for i, j in combinations(range(len(sizes)), 2)
-        for u in range(bounds[i], bounds[i + 1])
-        for v in range(bounds[j], bounds[j + 1])
-    ]
-    return Graph(bounds[-1], edges)
+    n = bounds[-1]
+    require_order(n)
+    masks: list[int] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        masks += [((1 << n) - 1) ^ ((1 << hi) - (1 << lo))] * (hi - lo)  # all outside the part
+    return Graph._from_masks(n, masks)
 
 
 # -- edge-list text format ----------------------------------------------------
@@ -248,7 +262,6 @@ def parse_edge_list(text: str) -> Graph:
             f"line {header_lineno}: header promises {m} edges, file has {len(edge_rows)} edge lines"
         )
 
-    edges: list[Edge] = []
     seen: set[Edge] = set()
     for lineno, tok in edge_rows:
         if len(tok) != 2:
@@ -272,11 +285,15 @@ def parse_edge_list(text: str) -> Graph:
             problems.append(f"line {lineno}: duplicate edge ({u}, {v})")
             continue
         seen.add((u, v))
-        edges.append((u, v))
 
     if problems:
         raise InputError("\n".join(problems))
-    return Graph(n, edges)
+    require_order(n)  # before the masks, the first allocation of size n
+    masks = [0] * n
+    for u, v in seen:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph._from_masks(n, masks)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -45,8 +45,8 @@ from .graphs import Graph, require_order
 
 # Labeled graphs on up to 7 vertices: 2,131,019 of them. Only (1, 1) meets the
 # order bound below n = 8; its sweep builds the 17,681 that meet the degree
-# bound too, and takes about 1.2-1.4 s (CPython 3.11 on a 2-core Xeon), under
-# 0.1 s of it building their masks. Order 8 alone adds 2^28 masks.
+# bound too, and takes about 1.6-1.7 s (CPython 3.11 on a 2-core Xeon), 0.05 s
+# of it building their graphs. Order 8 alone adds 2^28 masks.
 EXHAUSTIVE_ORDER_LIMIT = 7
 
 # Random graphs per pair (SweepConfig.random_instances).
@@ -235,23 +235,23 @@ def _ensemble_size(config: SweepConfig) -> int:
 
 def _masks_with_min_degree(
     n: int, floor: int
-) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    """(mask, edges) for each n-vertex edge mask of minimum degree >= floor, increasing.
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(mask, adjacency) for each n-vertex edge mask of minimum degree >= floor, increasing.
 
-    Bit i of a mask is slot i of combinations(range(n), 2), and edges lists
-    the slots the mask sets, in slot order. Slot bits are decided from the
-    highest slot down, 0 before 1, which visits masks in increasing order. A
-    0 at slot uv costs u and v one of the n - 1 - floor non-edges each can
-    afford, and is refused when either has none left. A 1 costs nothing, so
-    every branch ends in a mask.
+    Bit i of a mask is slot i of combinations(range(n), 2), and adjacency
+    holds each vertex's neighbour mask under the slots the mask sets. Slot
+    bits are decided from the highest slot down, 0 before 1, which visits
+    masks in increasing order. A 0 at slot uv costs u and v one of the
+    n - 1 - floor non-edges each can afford, and is refused when either has
+    none left. A 1 costs nothing, so every branch ends in a mask.
     """
     slots = list(combinations(range(n), 2))
     spare = [n - 1 - floor] * n
-    edges: list[tuple[int, int]] = []  # the 1 slots decided so far, highest first
+    adj = [0] * n  # neighbour masks under the 1 slots decided so far
 
-    def fill(i: int, mask: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    def fill(i: int, mask: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         if i < 0:
-            yield mask, edges[::-1]
+            yield mask, tuple(adj)
             return
         u, v = slots[i]
         if spare[u] and spare[v]:
@@ -260,9 +260,11 @@ def _masks_with_min_degree(
             yield from fill(i - 1, mask)
             spare[u] += 1
             spare[v] += 1
-        edges.append(slots[i])
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
         yield from fill(i - 1, mask | 1 << i)
-        edges.pop()
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
 
     return fill(len(slots) - 1, 0)
 
@@ -280,8 +282,8 @@ def _ensemble(config: SweepConfig, params: FactorParams) -> Iterator[tuple[str, 
             floor = _degree_floor(n, params)
             if floor is None:
                 continue
-            for mask, edges in _masks_with_min_degree(n, floor):
-                yield f"exhaustive/n={n}/mask={mask}", Graph(n, edges)
+            for mask, adj in _masks_with_min_degree(n, floor):
+                yield f"exhaustive/n={n}/mask={mask}", Graph._from_masks(n, adj)
     for n in config.random_orders:
         for p in config.random_probabilities:
             for i in range(config.random_samples):

@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 
@@ -5,15 +6,21 @@ import pytest
 
 from fracfactor import (
     MAX_ORDER,
+    FactorParams,
     Graph,
     InputError,
     ResourceLimitError,
+    SweepConfig,
     complete_multipartite_graph,
     format_edge_list,
     graphs,
+    min_degree_extremal_graph,
+    neighborhood_extremal_graph,
     parse_edge_list,
     random_graph,
 )
+from fracfactor.graphs import mask_vertices
+from fracfactor.sweep import _ensemble
 
 from oracle import adjacency
 from standard_graphs import cycle_graph, empty_graph, path_graph
@@ -43,8 +50,15 @@ def test_orders_above_the_maximum_are_refused():
         Graph(MAX_ORDER + 1)
     with pytest.raises(ResourceLimitError):
         parse_edge_list("1001 0\n")
+    with pytest.raises(ResourceLimitError):  # refused before any n-sized allocation
+        parse_edge_list("1000000000000 0\n")
     with pytest.raises(ResourceLimitError):
         complete_multipartite_graph((500, 501))
+
+
+def test_a_bad_row_is_an_input_error_under_an_order_above_the_maximum():
+    with pytest.raises(InputError, match="line 2: loop"):  # a ResourceLimitError is no InputError
+        parse_edge_list("1001 1\n5 5\n")
 
 
 def test_multipartite_family_checks_the_order_before_listing_edges(monkeypatch):
@@ -56,6 +70,14 @@ def test_multipartite_family_checks_the_order_before_listing_edges(monkeypatch):
     for sizes in ((1,) * (MAX_ORDER + 1), (500, 501)):
         with pytest.raises(ResourceLimitError):
             complete_multipartite_graph(sizes)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(True, 2), (2.0, 1), ("2", 1), (2, -1), (1, None), (MAX_ORDER + 1, False)]
+)
+def test_multipartite_part_sizes_must_be_nonnegative_ints(sizes):
+    with pytest.raises(InputError, match="part sizes must be nonnegative integers"):
+        complete_multipartite_graph(sizes)
 
 
 def test_construction_rejects_bad_edges():
@@ -71,7 +93,9 @@ def test_construction_rejects_bad_edges():
         Graph(-1)
 
 
-@pytest.mark.parametrize("edge", [(0.0, 1), (0, 1.5), ("0", 1), (0, 1, 2), (0,), None])
+@pytest.mark.parametrize(
+    "edge", [(0.0, 1), (0, 1.5), ("0", 1), (0, 1, 2), (0,), None, (0, True), (False, 1)]
+)
 def test_construction_names_a_malformed_edge(edge):
     with pytest.raises(InputError, match=re.escape(f"malformed edge {edge!r}")):
         Graph(3, [(1, 2), edge])
@@ -163,6 +187,53 @@ def test_stored_invariants_are_a_fresh_graphs_and_leave_equality_alone():
             ]
             want = min(unions, default=None)
             assert union == (None if want is None else (want[1], want[0]))
+
+
+def _deletions():
+    rng = random.Random(5)
+    graphs_built = []
+    for n in (1, 9, 20, 40):
+        g = random_graph(n, Fraction(1, 2), n)
+        graphs_built += [g.delete_vertices(rng.sample(range(n), k))[0] for k in range(n + 1)]
+    return graphs_built
+
+
+BUILDERS = {  # each library builder that assembles its graphs on masks -> graphs it built
+    "random_graph": lambda: [
+        random_graph(n, p, seed)
+        for n in (0, 1, 16, 64)
+        for p in (0, Fraction(1, 2), 1)
+        for seed in (0, 1, 2)
+    ],
+    "extremal_families": lambda: [
+        family(FactorParams(a, b), t)[0]
+        for family in (neighborhood_extremal_graph, min_degree_extremal_graph)
+        for a, b, t in ((1, 1, 2), (1, 2, 3), (2, 2, 1), (2, 3, 2), (3, 3, 4))
+    ],
+    "complete_multipartite_graph": lambda: [
+        complete_multipartite_graph(sizes) for sizes in ((), (0,), (3, 0, 2), (1, 1, 1, 1), (4,))
+    ],
+    "delete_vertices": _deletions,
+    "parse_edge_list": lambda: [
+        parse_edge_list(format_edge_list(random_graph(n, Fraction(1, 3), n))) for n in (0, 1, 7, 30)
+    ],
+    "exhaustive_ensemble": lambda: [
+        g for _, g in _ensemble(SweepConfig(pairs=((1, 1),), exhaustive_max_n=5), FactorParams(1, 1))
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_every_builder_matches_its_validated_rebuild(name):
+    built = BUILDERS[name]()
+    assert built
+    for g in built:
+        assert g == Graph(g.n, g.edges())
+        masks = g.adjacency_masks()
+        assert len(masks) == g.n
+        for u, mask in enumerate(masks):
+            assert not (mask >> u) & 1, "loop"
+            assert all((masks[v] >> u) & 1 for v in mask_vertices(mask)), "asymmetric"
 
 
 # -- edge-list format ---------------------------------------------------------

@@ -252,8 +252,9 @@ def test_masks_are_built_as_the_degree_filter_picks_them():
             ]
             built = list(_masks_with_min_degree(n, floor))
             assert [mask for mask, _ in built] == picked, (n, floor)
-            for mask, edges in built:
-                assert edges == [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
+            for mask, adj in built:
+                edges = [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
+                assert adj == Graph(n, edges).adjacency_masks()
     assert sum(1 for _ in _masks_with_min_degree(7, 4)) == 15796
 
 
